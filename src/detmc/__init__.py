@@ -33,8 +33,6 @@ from .linalg import (
     load_matrix,
     log_abs_det,
     lu_factorize,
-    lu_solve,
-    matvec,
     save_matrix,
 )
 from .sampling import (
@@ -74,8 +72,6 @@ __all__ = [
     "log_abs_det",
     "log_density_std_gaussian",
     "lu_factorize",
-    "lu_solve",
-    "matvec",
     "operator_from_matrix",
     "save_matrix",
     "solve_operator",

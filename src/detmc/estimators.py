@@ -407,7 +407,7 @@ def inv_det_importance(
 def det_via_inverse_solves(m: DenseMatrix, config: EstimatorConfig) -> EstimateResult:
     """Estimate |det A| itself by averaging ||A^{-1} s||^{-n}.
 
-    Factorizes once, then each sample costs one pair of triangular solves.
+    Factorizes once, then each sample costs one product with the inverse.
     Raises :class:`~detmc.linalg.SingularMatrixError` for rank-deficient input.
     """
     return inv_det_sphere(solve_operator(m), config)
@@ -416,8 +416,7 @@ def det_via_inverse_solves(m: DenseMatrix, config: EstimatorConfig) -> EstimateR
 def streaming_log_mean(log_weights: Sequence[float]) -> tuple[float, float]:
     """Log-domain mean and linear standard error of a finished weight sequence."""
     acc = StreamingAccumulator()
-    for lw in log_weights:
-        acc.update(float(lw))
+    acc.update_many(np.asarray(log_weights, dtype=np.float64))
     if acc.count == 0:
         raise ValueError("log_weights must be non-empty")
     summary = acc.summarize()

@@ -1,10 +1,12 @@
-"""Dense linear algebra substrate: matrices, LU with partial pivoting, solves.
+"""Dense linear algebra substrate: matrices, the exact oracle, solves.
 
-The LU factorization is the exact oracle that every Monte Carlo estimate in
-this package is validated against, and it backs the per-sample solves of the
-determinant-from-inverse estimator.  It accumulates ``log|U_ii|`` rather than
-multiplying pivots so the oracle stays finite for dimensions where the
-determinant itself over- or underflows float64.
+Everything here rests on one LAPACK LU through numpy.  ``lu_factorize``
+computes ``log|det A|`` (``np.linalg.slogdet``), the exact oracle that every
+Monte Carlo estimate in this package is validated against, and ``A^{-1}``
+(``np.linalg.inv``), which turns the per-sample solves of the
+determinant-from-inverse estimator into one matrix product per block.  The
+determinant is kept in log form so the oracle stays finite for dimensions
+where the determinant itself over- or underflows float64.
 
 Only dense square matrices are supported here.  Matrix-free callers supply
 their own apply function to the estimators module instead.
@@ -21,21 +23,18 @@ __all__ = [
     "LUFactorization",
     "SingularMatrixError",
     "MatrixFormatError",
-    "matvec",
     "lu_factorize",
-    "lu_solve",
     "lu_solve_many",
     "log_abs_det",
     "load_matrix",
     "save_matrix",
 ]
 
-# pivots at or below this magnitude are treated as numerically zero
-PIVOT_FLOOR = 1e-300
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class SingularMatrixError(ValueError):
-    """The matrix is not full rank (zero or denormal pivot during LU)."""
+    """The matrix is singular to working precision."""
 
 
 class MatrixFormatError(ValueError):
@@ -64,96 +63,53 @@ class DenseMatrix:
 
 @dataclass(frozen=True)
 class LUFactorization:
-    """Packed P A = L U factorization.
+    """What the estimators need from the LU of A: ``log|det A|`` and ``A^{-1}``."""
 
-    ``lu`` holds the unit-lower factor below the diagonal and the upper
-    factor on and above it.  ``pivots[i]`` is the original row of A that the
-    permutation placed at row i, i.e. ``A[pivots] == L @ U`` up to rounding.
-    ``parity`` is the sign of that permutation.
-    """
-
-    lu: np.ndarray
-    pivots: np.ndarray
-    parity: int
+    log_abs_det: float
+    inverse: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.lu.shape[0]
-
-
-def matvec(m: DenseMatrix, v: np.ndarray) -> np.ndarray:
-    """Product m @ v for a length-n vector v."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (m.n,):
-        raise ValueError(f"vector shape {v.shape} does not match matrix dimension {m.n}")
-    return m.data @ v
+        return self.inverse.shape[0]
 
 
 def lu_factorize(m: DenseMatrix) -> LUFactorization:
-    """Factor P A = L U with partial (row) pivoting.
+    """Factor A once with LAPACK; keep ``log|det A|`` and the read-only inverse.
 
-    Raises :class:`SingularMatrixError` when the best available pivot is
-    zero or below ``PIVOT_FLOOR``; the estimators in this package assume
-    full-rank inputs and a vanishing pivot certifies that assumption broken.
+    Raises :class:`SingularMatrixError` when A has a zero pivot, or when
+    ``||A||_1 ||A^{-1}||_1 < 1/eps`` fails: LAPACK's own rule (xGESVX,
+    RCOND < eps) for a matrix that is singular to working precision.  The
+    estimators in this package assume full-rank inputs.
     """
-    a = m.data.copy()
-    n = m.n
-    perm = np.arange(n)
-    parity = 1
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < PIVOT_FLOOR:
-            raise SingularMatrixError(f"matrix is numerically singular at column {k}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            parity = -parity
-        a[k + 1 :, k] /= a[k, k]
-        if k + 1 < n:
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    a.setflags(write=False)
-    perm.setflags(write=False)
-    return LUFactorization(lu=a, pivots=perm, parity=parity)
-
-
-def lu_solve(f: LUFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b using the factorization of A."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (f.n,):
-        raise ValueError(f"vector shape {b.shape} does not match factorization dimension {f.n}")
-    return lu_solve_many(f, b[np.newaxis, :])[0]
+    sign, logdet = np.linalg.slogdet(m.data)
+    if sign == 0.0:
+        raise SingularMatrixError("matrix is singular: LU has a zero pivot")
+    inverse = np.linalg.inv(m.data)
+    cond = np.linalg.norm(m.data, 1) * np.linalg.norm(inverse, 1)
+    if not cond < 1.0 / _EPS:  # also catches an inverse that overflowed to inf
+        raise SingularMatrixError(
+            f"matrix is singular to working precision: 1-norm condition number {cond:.3g}"
+        )
+    inverse.setflags(write=False)
+    return LUFactorization(log_abs_det=float(logdet), inverse=inverse)
 
 
 def lu_solve_many(f: LUFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve A x_i = b_i for a (k, n) block of right-hand-side rows at once.
 
     One factorization amortized over many solves is what makes the
-    determinant-from-inverse estimator O(n^2) per sample.  Substitution is
-    row-at-a-time, vectorized across the k right-hand sides; for the short,
-    very wide blocks the estimators produce this beats LAPACK's
-    column-oriented triangular solves by a wide margin.
+    determinant-from-inverse estimator O(n^2) per sample; with the inverse
+    at hand the whole block is one matrix product.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.ndim != 2 or rhs.shape[1] != f.n:
         raise ValueError(f"expected a (k, {f.n}) block of right-hand sides, got {rhs.shape}")
-    lu, n = f.lu, f.n
-    t = rhs.T[f.pivots]  # (n, k), fresh C-contiguous copy in permuted row order
-    for i in range(1, n):  # forward substitution, unit lower triangle
-        t[i] -= lu[i, :i] @ t[:i]
-    for i in range(n - 1, -1, -1):  # back substitution
-        if i < n - 1:
-            t[i] -= lu[i, i + 1 :] @ t[i + 1 :]
-        t[i] /= lu[i, i]
-    return t.T
+    return rhs @ f.inverse.T
 
 
 def log_abs_det(f: LUFactorization) -> float:
-    """log |det A| as the sum of log |U_ii|.
-
-    The signed determinant is ``parity * prod(sign(U_ii)) * exp(log_abs_det)``
-    when that exponential is representable; the log form is authoritative.
-    """
-    return float(np.sum(np.log(np.abs(np.diag(f.lu)))))
+    """log |det A|, authoritative where |det A| itself is not representable."""
+    return f.log_abs_det
 
 
 def load_matrix(path) -> DenseMatrix:

@@ -59,31 +59,11 @@ class StreamingAccumulator:
     shifted_sum: float = 0.0
     shifted_sum_sq: float = 0.0
 
-    def update(self, log_weight: float) -> None:
-        """Absorb one log-weight."""
-        lw = float(log_weight)
-        if math.isnan(lw) or lw == math.inf:
-            raise ValueError(f"log-weight must not be NaN or +inf, got {lw!r}")
-        if lw == -math.inf:
-            # zero weight: contributes to the count only
-            self.count += 1
-            return
-        if lw > self.max_log:
-            c = _exp_or_inf(self.max_log - lw) if self.count else 0.0
-            self.shifted_sum = self.shifted_sum * c + 1.0
-            self.shifted_sum_sq = self.shifted_sum_sq * c * c + 1.0
-            self.max_log = lw
-        else:
-            d = math.exp(lw - self.max_log)
-            self.shifted_sum += d
-            self.shifted_sum_sq += d * d
-        self.count += 1
-
     def update_many(self, log_weights: np.ndarray) -> None:
         """Absorb a block of log-weights in one vectorized fold.
 
-        Equivalent to repeated :meth:`update` up to floating-point rounding
-        (the block is reduced against its own maximum first).
+        The block is reduced against its own maximum first.  The reductions
+        avoid BLAS, so the result does not depend on the BLAS thread count.
         """
         lw = np.asarray(log_weights, dtype=np.float64)
         if lw.ndim != 1:
@@ -97,7 +77,7 @@ class StreamingAccumulator:
             self.count += lw.size
             return
         d = np.exp(lw - m)  # -inf entries become exact zeros
-        self._absorb(lw.size, m, float(d.sum()), float(d @ d))
+        self._absorb(lw.size, m, float(d.sum()), float(np.einsum("i,i->", d, d)))
 
     def merge(self, other: "StreamingAccumulator") -> "StreamingAccumulator":
         """Return a new accumulator equal to this one plus ``other``.

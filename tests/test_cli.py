@@ -225,6 +225,17 @@ class TestExitCodes:
             "--samples", "10",
         ) == 3
 
+    def test_rank_deficient_integer_matrix_file(self, tmp_path):
+        # rank 4, although LAPACK's det rounds to 1.03e-6
+        rows = ["0 92 92 92 92", "92 92 92 0 92", "-1 92 92 92 92", "92 92 0 92 92",
+                "92 92 92 92 92"]
+        singular = tmp_path / "rank4.txt"
+        singular.write_text("5\n" + "\n".join(rows) + "\n")
+        assert run_cli(
+            "estimate", "--estimator", "inverse_solve_det", "--matrix", str(singular),
+            "--samples", "10",
+        ) == 3
+
     def test_both_sources_is_usage_error(self, tmp_path):
         path = tmp_path / "m.txt"
         save_matrix(path, DenseMatrix(np.eye(2)))
