@@ -23,7 +23,6 @@ from .estimators import (
     inv_det_sphere,
     operator_from_matrix,
     solve_operator,
-    streaming_log_mean,
 )
 from .linalg import (
     DenseMatrix,
@@ -35,13 +34,7 @@ from .linalg import (
     lu_factorize,
     save_matrix,
 )
-from .sampling import (
-    RngStream,
-    chi_sample,
-    gaussian_vector,
-    log_density_std_gaussian,
-    unit_sphere,
-)
+from .sampling import RngStream, log_density_std_gaussian
 from .stats import StreamingAccumulator
 
 __version__ = "0.1.0"
@@ -61,9 +54,7 @@ __all__ = [
     "SingularMatrixError",
     "StreamingAccumulator",
     "UnsupportedSampleError",
-    "chi_sample",
     "det_via_inverse_solves",
-    "gaussian_vector",
     "generate",
     "inv_det_gaussian_ratio",
     "inv_det_importance",
@@ -75,6 +66,4 @@ __all__ = [
     "operator_from_matrix",
     "save_matrix",
     "solve_operator",
-    "streaming_log_mean",
-    "unit_sphere",
 ]

@@ -22,7 +22,15 @@ from .estimators import (
     inv_det_sphere,
     operator_from_matrix,
 )
-from .linalg import DenseMatrix, MatrixFormatError, SingularMatrixError, load_matrix, log_abs_det, lu_factorize
+from .linalg import (
+    DenseMatrix,
+    LUFactorization,
+    MatrixFormatError,
+    SingularMatrixError,
+    load_matrix,
+    log_abs_det,
+    lu_factorize,
+)
 from .validation import run_property_suite
 
 __all__ = ["main", "RunSpec", "run_estimate", "run_convergence", "run_validate"]
@@ -162,7 +170,7 @@ def _load_or_generate(spec: RunSpec) -> DenseMatrix:
     return generate(spec.ensemble)
 
 
-def _run_estimator(spec: RunSpec, matrix: DenseMatrix, trace_stride: int):
+def _run_estimator(spec: RunSpec, matrix: DenseMatrix, f: LUFactorization, trace_stride: int):
     config = EstimatorConfig(
         num_samples=spec.samples,
         seed=spec.seed,
@@ -170,25 +178,22 @@ def _run_estimator(spec: RunSpec, matrix: DenseMatrix, trace_stride: int):
         trace_stride=trace_stride,
     )
     if spec.estimator == "inverse_solve_det":
-        return det_via_inverse_solves(matrix, config)
+        return det_via_inverse_solves(f, config)
     op = operator_from_matrix(matrix)
     if spec.estimator == "sphere_invdet":
         return inv_det_sphere(op, config)
     if spec.estimator == "gaussian_ratio_invdet":
         return inv_det_gaussian_ratio(op, config)
     if spec.estimator == "importance_invdet":
-        if spec.q_var == 1.0:
-            dist = DistributionPair.standard_gaussian(matrix.n)
-        else:
-            dist = DistributionPair.gaussian_q(matrix.n, spec.q_var)
-        return inv_det_importance(op, dist, config)
+        return inv_det_importance(op, DistributionPair.gaussian_q(matrix.n, spec.q_var), config)
     raise _UsageError(f"unknown estimator {spec.estimator!r}")
 
 
 def run_estimate(spec: RunSpec) -> int:
     matrix = _load_or_generate(spec)
-    oracle = log_abs_det(lu_factorize(matrix))
-    result = _run_estimator(spec, matrix, spec.trace_stride)
+    f = lu_factorize(matrix)
+    oracle = log_abs_det(f)
+    result = _run_estimator(spec, matrix, f, spec.trace_stride)
     target_log = oracle if spec.estimator in _TARGETS_DET else -oracle
     try:
         estimate = _float17(math.exp(result.log_mean))
@@ -212,9 +217,10 @@ def run_estimate(spec: RunSpec) -> int:
 
 def run_convergence(spec: RunSpec) -> int:
     matrix = _load_or_generate(spec)
-    oracle = log_abs_det(lu_factorize(matrix))
+    f = lu_factorize(matrix)
+    oracle = log_abs_det(f)
     stride = spec.trace_stride or default_trace_stride(spec.samples)
-    result = _run_estimator(spec, matrix, stride)
+    result = _run_estimator(spec, matrix, f, stride)
     oracle_txt = _float17(oracle)
     rows = ["sample_index,running_log_estimate,running_estimate,oracle_log_abs_det"]
     for index, running_log in result.trace:

@@ -9,7 +9,10 @@ of the map an operator realizes:
 
 The sphere form is the gaussian_ratio form with the chi-distributed radius
 integrated out analytically, so the two cross-validate each other; the
-importance form is the general hook for user-supplied (p, q) pairs.
+importance form is the general hook for user-supplied (p, q) pairs.  The
+sphere weight is homogeneous of degree 0 in s, so it is computed on the
+unnormalised Gaussian g = r s as -n (log||A g|| - log||g||): no draw is
+normalised first.
 Applying the sphere formula to a solve-based operator (A maps to A^{-1})
 turns it into an estimator of |det A| itself; that is
 :func:`det_via_inverse_solves`.
@@ -17,9 +20,11 @@ turns it into an estimator of |det A| itself; that is
 Everything is accumulated in log domain: for even modest n the weights span
 ranges that overflow linear float64.  Reported standard errors come from the
 empirical second moment; for ill-conditioned matrices the weights can have
-infinite variance, in which case the standard error (and the ``heavy_tail``
-flag on the result) is advisory only.  Confidence-interval-based checks in
-this package therefore stick to well-conditioned ensembles.
+infinite variance, in which case the standard error is advisory only.  The
+``heavy_tail`` flag on the result is set when some log-weight exceeds
+-n log(1e-150); for the sphere form that means some unit direction's image
+norm fell below 1e-150.  Confidence-interval-based checks in this package
+therefore stick to well-conditioned ensembles.
 
 Sampling is partitioned evenly across ``num_streams`` independent substreams
 (one worker each) and partial accumulators are merged in stream-id order, so
@@ -34,7 +39,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,7 +61,6 @@ __all__ = [
     "inv_det_gaussian_ratio",
     "inv_det_importance",
     "det_via_inverse_solves",
-    "streaming_log_mean",
     "sphere_log_weights",
     "gaussian_ratio_log_weights",
     "importance_log_weights",
@@ -66,8 +70,8 @@ __all__ = [
 # samples per vectorized block; fixed so results never depend on scheduling
 _CHUNK = 16384
 
-# an image norm below exp(_LOG_HEAVY_TAIL) = 1e-150 makes the weight
-# ~1e150^n: keep going, but flag the result as heavy-tailed
+# an image norm of a unit direction below exp(_LOG_HEAVY_TAIL) = 1e-150
+# makes the weight > 1e150^n: keep going, but flag the result as heavy-tailed
 _LOG_HEAVY_TAIL = math.log(1e-150)
 
 _TINY_NORMAL = float(np.finfo(np.float64).tiny)
@@ -86,38 +90,28 @@ class MatrixFreeOperator:
     """A linear map exposed only through batched products.
 
     ``apply_batch`` maps a (k, n) block of row vectors to the (k, n) block
-    of their images and must be deterministic; ``kind`` records whether the
-    map realizes a matrix itself ("forward") or its inverse ("inverse").
-    Estimators may call ``apply_batch`` from several threads at once.
+    of their images and must be deterministic.  Estimators may call
+    ``apply_batch`` from several threads at once.
     """
 
     n: int
-    kind: str  # "forward" | "inverse"
     apply_batch: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("operator dimension must be positive")
-        if self.kind not in ("forward", "inverse"):
-            raise ValueError(f"kind must be 'forward' or 'inverse', got {self.kind!r}")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return self.apply_batch(x[np.newaxis, :])[0]
-        return self.apply_batch(x)
 
 
 def operator_from_matrix(m: DenseMatrix) -> MatrixFreeOperator:
     """Forward operator v -> A v for a dense matrix."""
     data = m.data
-    return MatrixFreeOperator(n=m.n, kind="forward", apply_batch=lambda xs: xs @ data.T)
+    return MatrixFreeOperator(n=m.n, apply_batch=lambda xs: xs @ data.T)
 
 
 def solve_operator(m: DenseMatrix | LUFactorization) -> MatrixFreeOperator:
     """Inverse operator v -> A^{-1} v backed by one LU factorization."""
     f = lu_factorize(m) if isinstance(m, DenseMatrix) else m
-    return MatrixFreeOperator(n=f.n, kind="inverse", apply_batch=lambda xs: lu_solve_many(f, xs))
+    return MatrixFreeOperator(n=f.n, apply_batch=lambda xs: lu_solve_many(f, xs))
 
 
 @dataclass(frozen=True)
@@ -196,12 +190,8 @@ class DistributionPair:
 
     @staticmethod
     def standard_gaussian(n: int) -> "DistributionPair":
-        """p = q = N(0, I): reduces the importance weights to the Gaussian ratio."""
-        return DistributionPair(
-            log_p=log_density_std_gaussian,
-            q_sampler=lambda rng, k: sampling.gaussian_matrix(rng, k, n),
-            log_q=log_density_std_gaussian,
-        )
+        """p = q = N(0, I); the same pair as ``gaussian_q(n, 1.0)``."""
+        return DistributionPair.gaussian_q(n, 1.0)
 
     @staticmethod
     def gaussian_q(n: int, q_variance: float) -> "DistributionPair":
@@ -237,7 +227,7 @@ def _row_log_norms(images: np.ndarray) -> np.ndarray:
         m = float(np.max(np.abs(images[i])))
         if m == 0.0:
             raise SingularDirectionError(
-                "a unit direction was mapped to the zero vector; the matrix is not full rank"
+                "a direction was mapped to the zero vector; the matrix is not full rank"
             )
         if not math.isfinite(m):
             raise ValueError("operator produced a non-finite image")
@@ -246,10 +236,9 @@ def _row_log_norms(images: np.ndarray) -> np.ndarray:
     return out
 
 
-def sphere_log_weights(op: MatrixFreeOperator, directions: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Per-direction log-weights -n log||op(s)||, plus a heavy-tail flag."""
-    log_norms = _row_log_norms(op.apply_batch(directions))
-    return -op.n * log_norms, bool(np.any(log_norms < _LOG_HEAVY_TAIL))
+def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray) -> np.ndarray:
+    """Per-row log-weights -n (log||op(g)|| - log||g||) = -n log||op(g / ||g||)||."""
+    return -op.n * (_row_log_norms(op.apply_batch(g)) - _row_log_norms(g))
 
 
 def gaussian_ratio_log_weights(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
@@ -287,7 +276,6 @@ def _run_stream(weigh, config: EstimatorConfig, stream_id: int, per_stream: int)
     """Consume one substream: fold weights, record within-stream prefixes."""
     rng = RngStream(config.seed, stream_id)
     acc = StreamingAccumulator()
-    heavy = False
     stride = config.trace_stride
     points = (
         _stride_points(stream_id, per_stream, stride, stream_id == config.num_streams - 1)
@@ -299,8 +287,7 @@ def _run_stream(weigh, config: EstimatorConfig, stream_id: int, per_stream: int)
     done = 0
     while done < per_stream:
         k = min(_CHUNK, per_stream - done)
-        w, hv = weigh(rng, k)
-        heavy = heavy or hv
+        w = weigh(rng, k)
         acc.update_many(w)
         if stride:
             in_chunk = points[(points > done) & (points <= done + k)]
@@ -312,7 +299,7 @@ def _run_stream(weigh, config: EstimatorConfig, stream_id: int, per_stream: int)
             else:
                 run_log_sum = float(np.logaddexp(run_log_sum, _log_sum(w)))
         done += k
-    return acc, heavy, prefixes
+    return acc, prefixes
 
 
 def _log_sum(w: np.ndarray) -> float:
@@ -322,7 +309,7 @@ def _log_sum(w: np.ndarray) -> float:
     return m + math.log(float(np.exp(w - m).sum()))
 
 
-def _run(weigh, config: EstimatorConfig) -> EstimateResult:
+def _run(weigh, n: int, config: EstimatorConfig) -> EstimateResult:
     per_stream = config.num_samples // config.num_streams
     ids = range(config.num_streams)
     if config.num_streams == 1:
@@ -335,15 +322,13 @@ def _run(weigh, config: EstimatorConfig) -> EstimateResult:
             )
     # merge in stream-id order: reproducible regardless of worker scheduling
     merged = StreamingAccumulator()
-    heavy = False
-    for acc, hv, _ in results:
+    for acc, _ in results:
         merged = merged.merge(acc)
-        heavy = heavy or hv
     trace = None
     if config.trace_stride:
         trace_pts: list[tuple[int, float]] = []
         cum = -math.inf
-        for j, (acc, _, prefixes) in enumerate(results):
+        for j, (acc, prefixes) in enumerate(results):
             for i, pv in prefixes:
                 g = j * per_stream + i
                 trace_pts.append((g, float(np.logaddexp(cum, pv)) - math.log(g)))
@@ -358,7 +343,7 @@ def _run(weigh, config: EstimatorConfig) -> EstimateResult:
         std_error=summary.std_error,
         n_samples=config.num_samples,
         trace=trace,
-        heavy_tail=heavy,
+        heavy_tail=merged.max_log > -n * _LOG_HEAVY_TAIL,
         low_count=summary.low_count,
     )
 
@@ -375,9 +360,9 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
     """
 
     def weigh(rng: RngStream, k: int):
-        return sphere_log_weights(op, sampling.unit_sphere_many(rng, k, op.n))
+        return sphere_log_weights(op, sampling.gaussian_directions(rng, k, op.n))
 
-    return _run(weigh, config)
+    return _run(weigh, op.n, config)
 
 
 def inv_det_gaussian_ratio(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateResult:
@@ -388,9 +373,9 @@ def inv_det_gaussian_ratio(op: MatrixFreeOperator, config: EstimatorConfig) -> E
     """
 
     def weigh(rng: RngStream, k: int):
-        return gaussian_ratio_log_weights(op, sampling.gaussian_matrix(rng, k, op.n)), False
+        return gaussian_ratio_log_weights(op, sampling.gaussian_matrix(rng, k, op.n))
 
-    return _run(weigh, config)
+    return _run(weigh, op.n, config)
 
 
 def inv_det_importance(
@@ -399,25 +384,19 @@ def inv_det_importance(
     """Reciprocal-determinant estimate averaging p(op(x))/q(x) over x ~ q."""
 
     def weigh(rng: RngStream, k: int):
-        return importance_log_weights(op, dist, dist.q_sampler(rng, k)), False
+        return importance_log_weights(op, dist, dist.q_sampler(rng, k))
 
-    return _run(weigh, config)
+    return _run(weigh, op.n, config)
 
 
-def det_via_inverse_solves(m: DenseMatrix, config: EstimatorConfig) -> EstimateResult:
+def det_via_inverse_solves(
+    m: DenseMatrix | LUFactorization, config: EstimatorConfig
+) -> EstimateResult:
     """Estimate |det A| itself by averaging ||A^{-1} s||^{-n}.
 
-    Factorizes once, then each sample costs one product with the inverse.
-    Raises :class:`~detmc.linalg.SingularMatrixError` for rank-deficient input.
+    Factorizes once (or reuses the given factorization), then each sample
+    costs one product with the inverse.  Raises
+    :class:`~detmc.linalg.SingularMatrixError` for rank-deficient input.
     """
     return inv_det_sphere(solve_operator(m), config)
 
-
-def streaming_log_mean(log_weights: Sequence[float]) -> tuple[float, float]:
-    """Log-domain mean and linear standard error of a finished weight sequence."""
-    acc = StreamingAccumulator()
-    acc.update_many(np.asarray(log_weights, dtype=np.float64))
-    if acc.count == 0:
-        raise ValueError("log_weights must be non-empty")
-    summary = acc.summarize()
-    return summary.log_mean, summary.std_error

@@ -1,4 +1,4 @@
-"""Seeded random sources: Gaussian vectors, unit-sphere directions, chi radii.
+"""Seeded random sources: Gaussian blocks and unit-sphere directions.
 
 Reproducibility contract: every draw is a pure function of ``(seed,
 stream_id)``.  The generator is numpy's PCG64 keyed by
@@ -8,9 +8,11 @@ one stream to each parallel worker.  Gaussian variates come from numpy's
 ziggurat (``Generator.standard_normal``); both choices are fixed for this
 release, since changing either silently changes every seeded result.
 
-Uniform sphere directions are normalized Gaussian vectors.  This matches the
-polar decomposition x = s * r (direction times chi-distributed radius) that
-the sphere estimator is derived from, and is dimension-generic.
+Uniform sphere directions are normalized Gaussian vectors: the polar
+decomposition g = r s (chi-distributed radius times direction).  The sphere
+estimator's weight is invariant to the radius, so it weighs the unnormalised
+Gaussian rows of :func:`gaussian_directions` directly; :func:`unit_sphere_many`
+divides the same rows by their norms.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "gaussian_vector",
     "gaussian_matrix",
-    "unit_sphere",
+    "gaussian_directions",
     "unit_sphere_many",
-    "chi_sample",
     "log_density_std_gaussian",
 ]
 
@@ -53,43 +53,36 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def gaussian_vector(rng: RngStream, n: int) -> np.ndarray:
-    """n iid standard normal draws."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    return rng.generator.standard_normal(n)
-
-
 def gaussian_matrix(rng: RngStream, k: int, n: int) -> np.ndarray:
     """(k, n) block of iid standard normals.
 
-    Row i equals the i-th of k consecutive :func:`gaussian_vector` calls, so
-    batched and per-vector callers consume the stream identically.
+    Row i equals the i-th of k consecutive one-row draws, so batched and
+    per-row callers consume the stream identically.
     """
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 draws of positive dimension")
     return rng.generator.standard_normal((k, n))
 
 
-def unit_sphere(rng: RngStream, n: int) -> np.ndarray:
-    """One vector uniform on the unit sphere S^{n-1}."""
-    return unit_sphere_many(rng, 1, n)[0]
+def gaussian_directions(rng: RngStream, k: int, n: int) -> np.ndarray:
+    """(k, n) Gaussian block with no row shorter than 1e-150.
+
+    A shorter row (the ziggurat can return an exact 0.0, so at n = 1 a zero
+    row is possible) is redrawn in place from the same stream.
+    """
+    g = gaussian_matrix(rng, k, n)
+    sq = np.einsum("ij,ij->i", g, g)
+    while (bad := np.flatnonzero(np.sqrt(sq) < _DEGENERATE_NORM)).size:
+        for i in bad:
+            g[i] = rng.generator.standard_normal(n)
+        sq[bad] = np.einsum("ij,ij->i", g[bad], g[bad])
+    return g
 
 
 def unit_sphere_many(rng: RngStream, k: int, n: int) -> np.ndarray:
     """(k, n) block of independent uniform unit-sphere samples."""
-    g = gaussian_matrix(rng, k, n)
-    norms = np.linalg.norm(g, axis=1)
-    while (bad := np.flatnonzero(norms < _DEGENERATE_NORM)).size:
-        for i in bad:
-            g[i] = gaussian_vector(rng, n)
-        norms[bad] = np.linalg.norm(g[bad], axis=1)
-    return g / norms[:, np.newaxis]
-
-
-def chi_sample(rng: RngStream, n: int) -> float:
-    """Chi(n) draw, realized directly as the norm of an n-dim Gaussian."""
-    return float(np.linalg.norm(gaussian_vector(rng, n)))
+    g = gaussian_directions(rng, k, n)
+    return g / np.linalg.norm(g, axis=1)[:, np.newaxis]
 
 
 def log_density_std_gaussian(x: np.ndarray) -> np.ndarray | float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+import detmc.sampling
 from detmc.ensembles import EnsembleSpec, generate
 from detmc.estimators import (
     DistributionPair,
@@ -23,10 +24,10 @@ from detmc.estimators import (
     operator_from_matrix,
     solve_operator,
     sphere_log_weights,
-    streaming_log_mean,
 )
 from detmc.linalg import DenseMatrix, SingularMatrixError, log_abs_det, lu_factorize, lu_solve_many
-from detmc.sampling import RngStream, gaussian_matrix, unit_sphere_many
+from detmc.sampling import RngStream, gaussian_directions, gaussian_matrix, unit_sphere_many
+from detmc.stats import StreamingAccumulator
 
 
 def oracle_log_det(m: DenseMatrix) -> float:
@@ -65,7 +66,7 @@ class TestSphereEstimator:
         assert abs(r.mean - target) <= 3.0 * r.std_error
 
     def test_zero_map_raises(self):
-        op = MatrixFreeOperator(n=3, kind="forward", apply_batch=lambda x: 0.0 * x)
+        op = MatrixFreeOperator(n=3, apply_batch=lambda x: 0.0 * x)
         with pytest.raises(SingularDirectionError):
             inv_det_sphere(op, EstimatorConfig(10, seed=0))
 
@@ -76,6 +77,31 @@ class TestSphereEstimator:
         # |det|^{-1} = 1e320 overflows linear float64; the log is authoritative
         assert r.log_mean == pytest.approx(-2.0 * math.log(1e-160), rel=1e-12)
         assert r.mean == math.inf
+
+    @pytest.mark.parametrize("scale, heavy", [(1e-149, False), (1e-151, True)])
+    def test_heavy_tail_threshold_is_image_norm_1e_150(self, scale, heavy):
+        m = DenseMatrix(scale * np.eye(3))
+        cfg = EstimatorConfig(10, seed=0, num_streams=2)
+        assert inv_det_sphere(operator_from_matrix(m), cfg).heavy_tail is heavy
+        assert det_via_inverse_solves(DenseMatrix(np.eye(3) / scale), cfg).heavy_tail is heavy
+        assert not inv_det_gaussian_ratio(operator_from_matrix(m), cfg).heavy_tail
+
+    def test_zero_draw_is_redrawn_not_singular(self, monkeypatch):
+        real = detmc.sampling.gaussian_matrix
+        calls = []
+
+        def zero_first_row_of_first_block(rng, k, n):
+            g = real(rng, k, n)
+            if not calls:
+                g[0] = 0.0
+            calls.append(k)
+            return g
+
+        monkeypatch.setattr(detmc.sampling, "gaussian_matrix", zero_first_row_of_first_block)
+        r = inv_det_sphere(operator_from_matrix(DenseMatrix(np.eye(2))), EstimatorConfig(50))
+        assert calls == [50]
+        assert r.log_mean == 0.0
+        assert r.std_error == 0.0
 
 
 class TestInverseSolveEstimator:
@@ -140,10 +166,10 @@ class TestImportanceEstimator:
         op = operator_from_matrix(m)
         x = gaussian_matrix(RngStream(3, 0), 500, 4)
         direct = gaussian_ratio_log_weights(op, x)
-        via_pair = importance_log_weights(op, DistributionPair.standard_gaussian(4), x)
+        via_pair = importance_log_weights(op, DistributionPair.gaussian_q(4, 1.0), x)
         np.testing.assert_allclose(via_pair, direct, atol=1e-12)
         cfg = EstimatorConfig(10_000, seed=11)
-        r1 = inv_det_importance(op, DistributionPair.standard_gaussian(4), cfg)
+        r1 = inv_det_importance(op, DistributionPair.gaussian_q(4, 1.0), cfg)
         r2 = inv_det_gaussian_ratio(op, cfg)
         assert r1.log_mean == pytest.approx(r2.log_mean, abs=1e-12)
 
@@ -212,8 +238,8 @@ class TestInvariants:
         inverse_rows = lu_solve_many(f, np.eye(6))  # row i solves A x = e_i
         dense_inverse = DenseMatrix(inverse_rows.T)
         s = unit_sphere_many(RngStream(9, 0), 2000, 6)
-        w_solve, _ = sphere_log_weights(solve_operator(f), s)
-        w_dense, _ = sphere_log_weights(operator_from_matrix(dense_inverse), s)
+        w_solve = sphere_log_weights(solve_operator(f), s)
+        w_dense = sphere_log_weights(operator_from_matrix(dense_inverse), s)
         np.testing.assert_allclose(w_solve, w_dense, rtol=1e-8)
         assert det_via_inverse_solves(m, cfg).log_mean == pytest.approx(
             inv_det_sphere(operator_from_matrix(dense_inverse), cfg).log_mean, rel=1e-8
@@ -226,7 +252,7 @@ class TestInvariants:
         results = [
             inv_det_sphere(op, cfg),
             inv_det_gaussian_ratio(op, cfg),
-            inv_det_importance(op, DistributionPair.standard_gaussian(12), cfg),
+            inv_det_importance(op, DistributionPair.gaussian_q(12, 1.0), cfg),
         ]
         for r in results:
             assert r.mean == pytest.approx(1.0, abs=1e-9)
@@ -245,7 +271,7 @@ class TestInvariants:
                 "sphere": (inv_det_sphere(op, cfg), inv_target),
                 "ratio": (inv_det_gaussian_ratio(op, cfg), inv_target),
                 "importance": (
-                    inv_det_importance(op, DistributionPair.standard_gaussian(3), cfg),
+                    inv_det_importance(op, DistributionPair.gaussian_q(3, 1.0), cfg),
                     inv_target,
                 ),
                 "inverse_solve": (det_via_inverse_solves(m, cfg), det_target),
@@ -284,7 +310,7 @@ class TestStreams:
         m = generate(EnsembleSpec("gaussian_iid", n=3, seed=6))
         op = operator_from_matrix(m)
         r = inv_det_sphere(op, EstimatorConfig(60, seed=4, trace_stride=7))
-        w, _ = sphere_log_weights(op, unit_sphere_many(RngStream(4, 0), 60, 3))
+        w = sphere_log_weights(op, gaussian_directions(RngStream(4, 0), 60, 3))
         for index, running in r.trace:
             want = mp_log_mean(w[:index])
             assert running == pytest.approx(want, rel=1e-12)
@@ -294,6 +320,13 @@ def mp_log_mean(log_weights):
     with mp.workdps(60):
         total = mp.fsum(mp.exp(mp.mpf(float(v))) for v in log_weights)
         return float(mp.log(total / len(log_weights)))
+
+
+def streaming_log_mean(log_weights):
+    acc = StreamingAccumulator()
+    acc.update_many(np.asarray(log_weights, dtype=np.float64))
+    summary = acc.summarize()
+    return summary.log_mean, summary.std_error
 
 
 class TestStreamingLogMean:
@@ -330,24 +363,15 @@ class TestConfigAndTypes:
         with pytest.raises(ValueError):
             EstimatorConfig(**kwargs)
 
-    def test_operator_single_vector_dispatch(self):
-        m = generate(EnsembleSpec("gaussian_iid", n=4, seed=1))
-        op = operator_from_matrix(m)
-        v = np.arange(4.0)
-        np.testing.assert_allclose(op(v), m.data @ v, rtol=1e-14)
-        np.testing.assert_allclose(op(np.stack([v, 2 * v]))[1], m.data @ (2 * v), rtol=1e-14)
-
     def test_operator_validation(self):
         with pytest.raises(ValueError):
-            MatrixFreeOperator(n=0, kind="forward", apply_batch=lambda x: x)
-        with pytest.raises(ValueError):
-            MatrixFreeOperator(n=2, kind="sideways", apply_batch=lambda x: x)
+            MatrixFreeOperator(n=0, apply_batch=lambda x: x)
 
     def test_result_mean_overflow(self):
         r = EstimateResult(log_mean=800.0, std_error=0.0, n_samples=1)
         assert r.mean == math.inf
 
     def test_nan_from_operator_is_loud(self):
-        op = MatrixFreeOperator(n=2, kind="forward", apply_batch=lambda x: x * np.nan)
+        op = MatrixFreeOperator(n=2, apply_batch=lambda x: x * np.nan)
         with pytest.raises(ValueError):
             inv_det_gaussian_ratio(op, EstimatorConfig(4, seed=0))

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmc.ensembles import EnsembleSpec, generate
+import detmc.sampling
 from detmc.sampling import (
     RngStream,
-    chi_sample,
+    gaussian_directions,
     gaussian_matrix,
-    gaussian_vector,
     log_density_std_gaussian,
-    unit_sphere,
     unit_sphere_many,
 )
 
@@ -25,21 +24,21 @@ def chi_mean(n):
 
 
 def test_same_stream_same_sequence():
-    a = gaussian_vector(RngStream(123, 5), 8)
-    b = gaussian_vector(RngStream(123, 5), 8)
+    a = gaussian_matrix(RngStream(123, 5), 1, 8)
+    b = gaussian_matrix(RngStream(123, 5), 1, 8)
     np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = gaussian_vector(RngStream(123, 0), 8)
-    b = gaussian_vector(RngStream(123, 1), 8)
+    a = gaussian_matrix(RngStream(123, 0), 1, 8)
+    b = gaussian_matrix(RngStream(123, 1), 1, 8)
     assert not np.array_equal(a, b)
 
 
 def test_batch_matches_sequential_draws():
     block = gaussian_matrix(RngStream(9, 2), 5, 3)
     rng = RngStream(9, 2)
-    rows = np.stack([gaussian_vector(rng, 3) for _ in range(5)])
+    rows = np.concatenate([gaussian_matrix(rng, 1, 3) for _ in range(5)])
     np.testing.assert_array_equal(block, rows)
 
 
@@ -62,8 +61,8 @@ def test_sphere_norm_is_one():
 
 def test_zero_sphere_is_sign():
     for seed in range(20):
-        s = unit_sphere(RngStream(seed, 0), 1)
-        assert s[0] in (1.0, -1.0)
+        s = unit_sphere_many(RngStream(seed, 0), 1, 1)
+        assert s[0, 0] in (1.0, -1.0)
 
 
 def test_sphere_outer_product_uniformity():
@@ -81,7 +80,9 @@ def test_sphere_rotation_invariance():
 
 
 def test_chi_positive():
-    assert all(chi_sample(RngStream(seed, 0), 3) > 0.0 for seed in range(50))
+    # the radius the sphere weight divides out is never zero
+    g = gaussian_directions(RngStream(0, 0), 50, 3)
+    assert np.all(np.linalg.norm(g, axis=1) > 0.0)
 
 
 def test_chi_one_matches_half_normal_mean():
@@ -89,33 +90,27 @@ def test_chi_one_matches_half_normal_mean():
     draws = np.abs(gaussian_matrix(RngStream(6, 0), 1_000_000, 1).ravel())
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - math.sqrt(2.0 / math.pi)) < 3.0 * se
-    rng = RngStream(6, 0)
-    np.testing.assert_array_equal(draws[:50], [chi_sample(rng, 1) for _ in range(50)])
 
 
 def test_chi_ten_matches_gamma_ratio_mean():
     draws = np.linalg.norm(gaussian_matrix(RngStream(7, 0), 1_000_000, 10), axis=1)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - chi_mean(10)) < 3.0 * se
-    rng = RngStream(7, 0)
-    np.testing.assert_allclose(
-        draws[:50], [chi_sample(rng, 10) for _ in range(50)], rtol=1e-14
-    )
 
 
 def test_polar_decomposition_identity():
     """A Gaussian vector is its radius times its direction, to the last ulp."""
     for seed in range(30):
-        g = gaussian_vector(RngStream(seed, 0), 6)
+        g = gaussian_matrix(RngStream(seed, 0), 1, 6)[0]
         r = np.linalg.norm(g)
         s = g / r
         np.testing.assert_allclose(s * r, g, rtol=1e-14, atol=0.0)
 
 
 def test_sphere_is_normalized_gaussian_of_same_stream():
-    s = unit_sphere(RngStream(11, 3), 9)
-    g = gaussian_vector(RngStream(11, 3), 9)
-    np.testing.assert_array_equal(s, g / np.linalg.norm(g))
+    s = unit_sphere_many(RngStream(11, 3), 4, 9)
+    g = gaussian_matrix(RngStream(11, 3), 4, 9)
+    np.testing.assert_array_equal(s, g / np.linalg.norm(g, axis=1)[:, np.newaxis])
 
 
 class TestLogDensity:
@@ -129,7 +124,7 @@ class TestLogDensity:
         assert got == pytest.approx(-0.5 * math.log(2.0 * math.pi) - 0.5, abs=1e-15)
 
     def test_seeded_vs_direct_formula(self):
-        x = gaussian_vector(RngStream(8, 0), 5)
+        x = gaussian_matrix(RngStream(8, 0), 1, 5)[0]
         direct = -2.5 * math.log(2.0 * math.pi) - 0.5 * sum(v * v for v in x)
         assert log_density_std_gaussian(x) == pytest.approx(direct, rel=1e-14)
 
@@ -142,14 +137,30 @@ class TestLogDensity:
 @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32))
 @settings(deadline=None, max_examples=60)
 def test_sphere_norm_property(n, seed):
-    s = unit_sphere(RngStream(seed, 0), n)
+    s = unit_sphere_many(RngStream(seed, 0), 1, n)[0]
     assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("bad_n", [0, -3])
 def test_positive_dimension_required(bad_n):
     with pytest.raises(ValueError):
-        gaussian_vector(RngStream(0, 0), bad_n)
+        gaussian_matrix(RngStream(0, 0), 1, bad_n)
+
+
+def test_degenerate_row_is_redrawn_from_the_same_stream(monkeypatch):
+    """A row shorter than 1e-150 becomes the next row of the same stream."""
+    real = detmc.sampling.gaussian_matrix
+
+    def zero_row_1(rng, k, n):
+        g = real(rng, k, n)
+        g[1] = 0.0
+        return g
+
+    monkeypatch.setattr(detmc.sampling, "gaussian_matrix", zero_row_1)
+    got = gaussian_directions(RngStream(12, 0), 3, 4)
+    want = real(RngStream(12, 0), 4, 4)
+    np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
+    np.testing.assert_array_equal(got[1], want[3])
 
 
 def test_negative_seed_rejected():
