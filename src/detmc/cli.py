@@ -136,6 +136,8 @@ def _resolve_ensemble(args) -> EnsembleSpec:
 
 
 def _spec_from_args(args) -> RunSpec:
+    if args.seed < 0:
+        raise _UsageError("--seed must be non-negative")
     if args.command == "validate":
         return RunSpec(command="validate", seed=args.seed)
     if (args.matrix is None) == (args.ensemble is None):
@@ -148,8 +150,8 @@ def _spec_from_args(args) -> RunSpec:
         raise _UsageError("--samples must be divisible by --streams")
     if args.trace_stride < 0:
         raise _UsageError("--trace-stride must be non-negative")
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
+    if not (args.q_var > 0.0 and math.isfinite(args.q_var)):
+        raise _UsageError("--q-var must be positive and finite")
     return RunSpec(
         command=args.command,
         estimator=args.estimator,

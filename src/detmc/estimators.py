@@ -189,11 +189,6 @@ class DistributionPair:
     log_q: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
-    def standard_gaussian(n: int) -> "DistributionPair":
-        """p = q = N(0, I); the same pair as ``gaussian_q(n, 1.0)``."""
-        return DistributionPair.gaussian_q(n, 1.0)
-
-    @staticmethod
     def gaussian_q(n: int, q_variance: float) -> "DistributionPair":
         """p = N(0, I), q = N(0, q_variance * I)."""
         if q_variance <= 0.0 or not math.isfinite(q_variance):
@@ -272,41 +267,42 @@ def _stride_points(stream_id: int, per_stream: int, stride: int, is_last: bool) 
     return points
 
 
+def _log_total(acc: StreamingAccumulator) -> float:
+    """log of the sum of the weights ``acc`` holds; -inf when every weight is zero."""
+    return acc.max_log + math.log(acc.shifted_sum) if acc.shifted_sum > 0.0 else -math.inf
+
+
+def _log_prefix_sums(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """log of sum(exp(w[:i + 1])) for each i in ``idx``, against the block maximum."""
+    m = float(w.max())
+    if m == -math.inf:
+        return np.full(idx.size, -math.inf)
+    with np.errstate(divide="ignore"):  # leading zero weights give log(0) = -inf
+        return m + np.log(np.cumsum(np.exp(w - m))[idx])
+
+
 def _run_stream(weigh, config: EstimatorConfig, stream_id: int, per_stream: int):
-    """Consume one substream: fold weights, record within-stream prefixes."""
+    """Consume one substream: its accumulator, trace points and log prefix sums there."""
     rng = RngStream(config.seed, stream_id)
     acc = StreamingAccumulator()
     stride = config.trace_stride
     points = (
         _stride_points(stream_id, per_stream, stride, stream_id == config.num_streams - 1)
         if stride
-        else None
+        else np.empty(0, dtype=np.int64)
     )
-    prefixes: list[tuple[int, float]] = []
-    run_log_sum = -math.inf
+    values = np.empty(points.size)
     done = 0
     while done < per_stream:
         k = min(_CHUNK, per_stream - done)
         w = weigh(rng, k)
-        acc.update_many(w)
-        if stride:
-            in_chunk = points[(points > done) & (points <= done + k)]
-            if in_chunk.size:
-                prefix = np.logaddexp.accumulate(w)
-                values = np.logaddexp(run_log_sum, prefix[in_chunk - done - 1])
-                prefixes.extend(zip(in_chunk.tolist(), values.tolist()))
-                run_log_sum = float(np.logaddexp(run_log_sum, prefix[-1]))
-            else:
-                run_log_sum = float(np.logaddexp(run_log_sum, _log_sum(w)))
+        lo, hi = np.searchsorted(points, (done, done + k), side="right")
+        offset = _log_total(acc)
+        acc.update_many(w)  # rejects NaN and +inf before the prefix sums see them
+        if hi > lo:
+            values[lo:hi] = np.logaddexp(offset, _log_prefix_sums(w, points[lo:hi] - done - 1))
         done += k
-    return acc, prefixes
-
-
-def _log_sum(w: np.ndarray) -> float:
-    m = float(w.max())
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.exp(w - m).sum()))
+    return acc, points, values
 
 
 def _run(weigh, n: int, config: EstimatorConfig) -> EstimateResult:
@@ -320,23 +316,20 @@ def _run(weigh, n: int, config: EstimatorConfig) -> EstimateResult:
             results = list(
                 pool.map(lambda j: _run_stream(weigh, config, j, per_stream), ids)
             )
-    # merge in stream-id order: reproducible regardless of worker scheduling
+    # merge in stream-id order: reproducible regardless of worker scheduling;
+    # stream j's trace offset is the log-total of the streams before it
     merged = StreamingAccumulator()
-    for acc, _ in results:
+    offsets = []
+    for acc, points, _ in results:
+        if config.trace_stride:
+            offsets.append(np.full(points.size, _log_total(merged)))
         merged = merged.merge(acc)
     trace = None
     if config.trace_stride:
-        trace_pts: list[tuple[int, float]] = []
-        cum = -math.inf
-        for j, (acc, prefixes) in enumerate(results):
-            for i, pv in prefixes:
-                g = j * per_stream + i
-                trace_pts.append((g, float(np.logaddexp(cum, pv)) - math.log(g)))
-            stream_total = (
-                acc.max_log + math.log(acc.shifted_sum) if acc.shifted_sum > 0.0 else -math.inf
-            )
-            cum = float(np.logaddexp(cum, stream_total))
-        trace = tuple(trace_pts)
+        index = np.concatenate([j * per_stream + p for j, (_, p, _) in enumerate(results)])
+        values = np.concatenate([v for _, _, v in results])
+        running = np.logaddexp(np.concatenate(offsets), values) - np.log(index)
+        trace = tuple(zip(index.tolist(), running.tolist()))
     summary = merged.summarize()
     return EstimateResult(
         log_mean=summary.log_mean,

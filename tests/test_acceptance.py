@@ -74,7 +74,7 @@ def test_criterion_2_orthogonal_exactness():
             for r in (
                 inv_det_sphere(op, cfg),
                 inv_det_gaussian_ratio(op, cfg),
-                inv_det_importance(op, DistributionPair.standard_gaussian(n), cfg),
+                inv_det_importance(op, DistributionPair.gaussian_q(n, 1.0), cfg),
             ):
                 worst = max(worst, abs(r.mean - 1.0), r.std_error)
     report("C2 orthogonal-exactness", worst <= 1e-9, f"worst deviation {worst:.2e} <= 1e-9")

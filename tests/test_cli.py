@@ -293,6 +293,25 @@ class TestExitCodes:
             "--diag", "1,2,3", "--n", "2", "--samples", "10",
         ) == 64
 
+    def test_negative_seed_usage_error(self, capsys):
+        assert run_cli("validate", "--seed", "-1") == 64
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q_var", ["-1", "0", "nan", "inf"])
+    def test_bad_q_var_usage_error(self, q_var, capsys):
+        assert run_cli(
+            "estimate", "--estimator", "importance_invdet", "--ensemble", "gaussian_iid",
+            "--n", "3", "--samples", "10", "--q-var", q_var,
+        ) == 64
+        assert "--q-var" in capsys.readouterr().err
+
+    def test_bad_q_var_rejected_before_loading_the_matrix(self):
+        # a missing file would exit 2 if the matrix were read first
+        assert run_cli(
+            "estimate", "--estimator", "importance_invdet", "--matrix", "/nonexistent/m.txt",
+            "--samples", "10", "--q-var", "-1",
+        ) == 64
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         capsys.readouterr()

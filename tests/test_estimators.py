@@ -9,6 +9,7 @@ from mpmath import mp
 import detmc.sampling
 from detmc.ensembles import EnsembleSpec, generate
 from detmc.estimators import (
+    _CHUNK,
     DistributionPair,
     EstimateResult,
     EstimatorConfig,
@@ -306,14 +307,82 @@ class TestStreams:
         )
         assert [i for i, _ in r.trace] == [3, 6, 9, 10]
 
-    def test_trace_running_means_match_recomputation(self):
+    @pytest.mark.parametrize(
+        "num_samples, num_streams, stride",
+        [(60, 1, 7), (2 * (_CHUNK + 1000), 2, 997)],
+        ids=["one_chunk", "chunks_and_streams"],
+    )
+    def test_trace_running_means_match_recomputation(self, num_samples, num_streams, stride):
         m = generate(EnsembleSpec("gaussian_iid", n=3, seed=6))
         op = operator_from_matrix(m)
-        r = inv_det_sphere(op, EstimatorConfig(60, seed=4, trace_stride=7))
-        w = sphere_log_weights(op, gaussian_directions(RngStream(4, 0), 60, 3))
+        cfg = EstimatorConfig(num_samples, seed=4, num_streams=num_streams, trace_stride=stride)
+        r = inv_det_sphere(op, cfg)
+        per_stream = num_samples // num_streams
+        w = np.concatenate([
+            sphere_log_weights(op, gaussian_directions(rng, k, 3))
+            for rng, k in chunked_streams(cfg.seed, num_streams, per_stream)
+        ])
+        want = running_log_means(w)
+        grid = list(range(stride, num_samples + 1, stride))
+        assert [i for i, _ in r.trace] == grid + [num_samples] * (grid[-1] != num_samples)
         for index, running in r.trace:
-            want = mp_log_mean(w[:index])
-            assert running == pytest.approx(want, rel=1e-12)
+            assert running == pytest.approx(want[index - 1], rel=1e-12)
+
+    def test_trace_with_zero_weights(self):
+        # p has zero density on the rows whose image has a positive first
+        # coordinate, on every row of the first chunk and on the first 1500
+        # rows of the second, where trace point 17 * 997 lands
+        def pair():
+            base = DistributionPair.gaussian_q(3, 1.0)
+            calls = []
+
+            def log_p(y):
+                calls.append(None)
+                out = base.log_p(y)
+                out[y[:, 0] > 0.0] = -math.inf
+                out[: {1: len(out), 2: 1500}.get(len(calls), 0)] = -math.inf
+                return out
+
+            return DistributionPair(log_p=log_p, q_sampler=base.q_sampler, log_q=base.log_q)
+
+        op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=3, seed=6)))
+        num_samples = 2 * _CHUNK + 500
+        r = inv_det_importance(op, pair(), EstimatorConfig(num_samples, seed=2, trace_stride=997))
+        dist = pair()
+        w = np.concatenate([
+            importance_log_weights(op, dist, dist.q_sampler(rng, k))
+            for rng, k in chunked_streams(2, 1, num_samples)
+        ])
+        want = running_log_means(w)
+        first_positive = int(np.argmax(w > -math.inf))
+        assert first_positive >= _CHUNK + 1500
+        values = np.array([v for _, v in r.trace])
+        assert not np.isnan(values).any()
+        for index, running in r.trace:
+            if index <= first_positive:
+                assert running == -math.inf
+            else:
+                assert running == pytest.approx(want[index - 1], rel=1e-12)
+        assert r.trace[-1][1] == pytest.approx(r.log_mean, rel=1e-12)
+
+
+def chunked_streams(seed, num_streams, per_stream):
+    """(rng, k) for each block the driver draws, in stream then chunk order."""
+    for j in range(num_streams):
+        rng = RngStream(seed, j)
+        for done in range(0, per_stream, _CHUNK):
+            yield rng, min(_CHUNK, per_stream - done)
+
+
+def running_log_means(log_weights):
+    """log of the mean of the first i weights for every i, in 60-digit arithmetic."""
+    out = []
+    with mp.workdps(60):
+        total = mp.mpf(0)
+        for i, v in enumerate(log_weights, start=1):
+            total += mp.exp(mp.mpf(float(v)))
+            out.append(float(mp.log(total / i)) if total else -math.inf)
+    return out
 
 
 def mp_log_mean(log_weights):
@@ -375,3 +444,17 @@ class TestConfigAndTypes:
         op = MatrixFreeOperator(n=2, apply_batch=lambda x: x * np.nan)
         with pytest.raises(ValueError):
             inv_det_gaussian_ratio(op, EstimatorConfig(4, seed=0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_invalid_weight_with_trace_is_loud(self, bad):
+        base = DistributionPair.gaussian_q(2, 1.0)
+
+        def log_p(y):
+            out = np.zeros(len(y))
+            out[3] = bad
+            return out
+
+        dist = DistributionPair(log_p=log_p, q_sampler=base.q_sampler, log_q=base.log_q)
+        op = MatrixFreeOperator(n=2, apply_batch=lambda x: x)
+        with pytest.raises(ValueError):
+            inv_det_importance(op, dist, EstimatorConfig(10, seed=0, trace_stride=1))
