@@ -273,24 +273,23 @@ def _log_total(acc: StreamingAccumulator) -> float:
 
 
 def _log_prefix_sums(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """log of sum(exp(w[:i + 1])) for each i in ``idx``, against the block maximum."""
+    """log of sum(exp(w[:i + 1])) for each i in ``idx``, against the block maximum;
+    the leading prefixes that underflow there (< 1e-290) are rescanned exactly."""
     m = float(w.max())
     if m == -math.inf:
         return np.full(idx.size, -math.inf)
-    with np.errstate(divide="ignore"):  # leading zero weights give log(0) = -inf
-        return m + np.log(np.cumsum(np.exp(w - m))[idx])
+    sums = np.cumsum(np.exp(w - m))[idx]
+    small = int(np.searchsorted(sums, 1e-290))
+    head = np.logaddexp.accumulate(w[: idx[small - 1] + 1])[idx[:small]] if small else []
+    return np.concatenate([head, m + np.log(sums[small:])])
 
 
 def _run_stream(weigh, config: EstimatorConfig, stream_id: int, per_stream: int):
     """Consume one substream: its accumulator, trace points and log prefix sums there."""
     rng = RngStream(config.seed, stream_id)
     acc = StreamingAccumulator()
-    stride = config.trace_stride
-    points = (
-        _stride_points(stream_id, per_stream, stride, stream_id == config.num_streams - 1)
-        if stride
-        else np.empty(0, dtype=np.int64)
-    )
+    stride, is_last = config.trace_stride, stream_id == config.num_streams - 1
+    points = _stride_points(stream_id, per_stream, stride, is_last) if stride else np.empty(0, int)
     values = np.empty(points.size)
     done = 0
     while done < per_stream:
@@ -320,15 +319,15 @@ def _run(weigh, n: int, config: EstimatorConfig) -> EstimateResult:
     # stream j's trace offset is the log-total of the streams before it
     merged = StreamingAccumulator()
     offsets = []
-    for acc, points, _ in results:
-        if config.trace_stride:
-            offsets.append(np.full(points.size, _log_total(merged)))
+    for acc, _, _ in results:
+        offsets.append(_log_total(merged))
         merged = merged.merge(acc)
     trace = None
     if config.trace_stride:
         index = np.concatenate([j * per_stream + p for j, (_, p, _) in enumerate(results)])
         values = np.concatenate([v for _, _, v in results])
-        running = np.logaddexp(np.concatenate(offsets), values) - np.log(index)
+        offsets = np.repeat(offsets, [p.size for _, p, _ in results])
+        running = np.logaddexp(offsets, values) - np.log(index)
         trace = tuple(zip(index.tolist(), running.tolist()))
     summary = merged.summarize()
     return EstimateResult(

@@ -365,6 +365,30 @@ class TestStreams:
                 assert running == pytest.approx(want[index - 1], rel=1e-12)
         assert r.trace[-1][1] == pytest.approx(r.log_mean, rel=1e-12)
 
+    def test_trace_with_weights_spanning_thousands_of_nats(self):
+        # rows 40 and 120 of the only chunk weigh about e^1000 and e^1900, so
+        # the earlier prefix sums vanish beside the chunk maximum
+        def pair():
+            base = DistributionPair.gaussian_q(3, 1.0)
+
+            def log_p(y):
+                out = base.log_p(y)
+                out[40] = 1000.0
+                out[120] = 1900.0
+                return out
+
+            return DistributionPair(log_p=log_p, q_sampler=base.q_sampler, log_q=base.log_q)
+
+        op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=3, seed=6)))
+        num_samples = 200
+        r = inv_det_importance(op, pair(), EstimatorConfig(num_samples, seed=2, trace_stride=1))
+        dist = pair()
+        w = importance_log_weights(op, dist, dist.q_sampler(RngStream(2, 0), num_samples))
+        want = running_log_means(w)
+        assert [i for i, _ in r.trace] == list(range(1, num_samples + 1))
+        for index, running in r.trace:
+            assert running == pytest.approx(want[index - 1], rel=1e-12)
+
 
 def chunked_streams(seed, num_streams, per_stream):
     """(rng, k) for each block the driver draws, in stream then chunk order."""
