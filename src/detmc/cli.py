@@ -95,7 +95,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--streams", type=int, default=1)
-    p.add_argument("--trace-stride", type=int, default=0, dest="trace_stride")
     p.add_argument("--q-var", type=float, default=1.0, dest="q_var",
                    help="variance of the isotropic Gaussian q (importance_invdet only)")
 
@@ -110,6 +109,7 @@ def _build_parser() -> _Parser:
     p_conv = sub.add_parser("convergence", help="write a running-estimate CSV trace")
     _add_run_flags(p_conv)
     p_conv.add_argument("--out", required=True, help="CSV output path")
+    p_conv.add_argument("--trace-stride", type=int, default=0, dest="trace_stride")
 
     p_val = sub.add_parser("validate", help="run the property suite")
     p_val.add_argument("--seed", type=int, default=0)
@@ -148,7 +148,8 @@ def _spec_from_args(args) -> RunSpec:
         raise _UsageError("--streams must be positive")
     if args.samples % args.streams != 0:
         raise _UsageError("--samples must be divisible by --streams")
-    if args.trace_stride < 0:
+    trace_stride = getattr(args, "trace_stride", 0)
+    if trace_stride < 0:
         raise _UsageError("--trace-stride must be non-negative")
     if not (args.q_var > 0.0 and math.isfinite(args.q_var)):
         raise _UsageError("--q-var must be positive and finite")
@@ -160,7 +161,7 @@ def _spec_from_args(args) -> RunSpec:
         samples=args.samples,
         seed=args.seed,
         streams=args.streams,
-        trace_stride=args.trace_stride,
+        trace_stride=trace_stride,
         out=getattr(args, "out", None),
         q_var=args.q_var,
     )
@@ -195,7 +196,7 @@ def run_estimate(spec: RunSpec) -> int:
     matrix = _load_or_generate(spec)
     f = lu_factorize(matrix)
     oracle = log_abs_det(f)
-    result = _run_estimator(spec, matrix, f, spec.trace_stride)
+    result = _run_estimator(spec, matrix, f, 0)
     target_log = oracle if spec.estimator in _TARGETS_DET else -oracle
     try:
         estimate = _float17(math.exp(result.log_mean))

@@ -67,8 +67,6 @@ __all__ = [
     "default_trace_stride",
 ]
 
-# samples per vectorized block; fixed so results never depend on scheduling
-_CHUNK = 16384
 
 # an image norm of a unit direction below exp(_LOG_HEAVY_TAIL) = 1e-150
 # makes the weight > 1e150^n: keep going, but flag the result as heavy-tailed
@@ -90,7 +88,8 @@ class MatrixFreeOperator:
     """A linear map exposed only through batched products.
 
     ``apply_batch`` maps a (k, n) block of row vectors to the (k, n) block
-    of their images and must be deterministic.  Estimators may call
+    of their images and must be deterministic.  Estimators pass blocks of
+    at most ``min(16384, max(1, 2**18 // n))`` rows and may call
     ``apply_batch`` from several threads at once.
     """
 
@@ -284,16 +283,23 @@ def _log_prefix_sums(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.concatenate([head, m + np.log(sums[small:])])
 
 
-def _run_stream(weigh, config: EstimatorConfig, stream_id: int, per_stream: int):
+def _chunk_rows(n: int) -> int:
+    """Rows per vectorized block: at most 16384 rows and 2**18 variates (2 MiB of
+    float64), so a block and its image fit in L2 together.  A pure function of
+    n, so results never depend on scheduling."""
+    return min(16384, max(1, 2**18 // n))
+
+
+def _run_stream(weigh, n: int, config: EstimatorConfig, stream_id: int, per_stream: int):
     """Consume one substream: its accumulator, trace points and log prefix sums there."""
     rng = RngStream(config.seed, stream_id)
     acc = StreamingAccumulator()
     stride, is_last = config.trace_stride, stream_id == config.num_streams - 1
     points = _stride_points(stream_id, per_stream, stride, is_last) if stride else np.empty(0, int)
     values = np.empty(points.size)
-    done = 0
+    rows, done = _chunk_rows(n), 0
     while done < per_stream:
-        k = min(_CHUNK, per_stream - done)
+        k = min(rows, per_stream - done)
         w = weigh(rng, k)
         lo, hi = np.searchsorted(points, (done, done + k), side="right")
         offset = _log_total(acc)
@@ -308,12 +314,12 @@ def _run(weigh, n: int, config: EstimatorConfig) -> EstimateResult:
     per_stream = config.num_samples // config.num_streams
     ids = range(config.num_streams)
     if config.num_streams == 1:
-        results = [_run_stream(weigh, config, 0, per_stream)]
+        results = [_run_stream(weigh, n, config, 0, per_stream)]
     else:
         workers = min(config.num_streams, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(lambda j: _run_stream(weigh, config, j, per_stream), ids)
+                pool.map(lambda j: _run_stream(weigh, n, config, j, per_stream), ids)
             )
     # merge in stream-id order: reproducible regardless of worker scheduling;
     # stream j's trace offset is the log-total of the streams before it

@@ -312,6 +312,14 @@ class TestExitCodes:
             "--samples", "10", "--q-var", "-1",
         ) == 64
 
+    def test_trace_stride_is_a_convergence_flag(self, capsys):
+        # estimate prints no trace, so it must not pay for one
+        assert run_cli(
+            "estimate", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--n", "3", "--samples", "10", "--trace-stride", "1",
+        ) == 64
+        assert "--trace-stride" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         capsys.readouterr()

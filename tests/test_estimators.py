@@ -1,6 +1,7 @@
 """Estimator tests: exactness anchors, oracle agreement, stream semantics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from mpmath import mp
 import detmc.sampling
 from detmc.ensembles import EnsembleSpec, generate
 from detmc.estimators import (
-    _CHUNK,
     DistributionPair,
     EstimateResult,
     EstimatorConfig,
     MatrixFreeOperator,
     SingularDirectionError,
     UnsupportedSampleError,
+    _chunk_rows,
     det_via_inverse_solves,
     gaussian_ratio_log_weights,
     importance_log_weights,
@@ -127,6 +128,18 @@ class TestInverseSolveEstimator:
         first_err = abs(r.trace[0][1] - oracle)
         last_err = abs(r.trace[-1][1] - oracle)
         assert last_err <= first_err + 0.5
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # n = 256 draws 1024-row (2 MiB) blocks; one 8192-row block and its
+        # image would take 33.6 MB
+        m = generate(EnsembleSpec("gaussian_iid", n=256, seed=0))
+        tracemalloc.start()
+        try:
+            det_via_inverse_solves(m, EstimatorConfig(8192, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_singular_matrix_propagates(self):
         with pytest.raises(SingularMatrixError):
@@ -299,6 +312,31 @@ class TestStreams:
         combined = math.hypot(r1.std_error / r1.mean, r4.std_error / r4.mean)
         assert gap <= 3.0 * combined
 
+    @pytest.mark.parametrize(
+        "estimator, n, num_streams, want",
+        [
+            ("sphere", 10, 1, ("-0x1.d047a7790ad5fp+2", "0x1.42997e7d18602p-14",
+                               "-0x1.d047a7790ad5ep+2")),
+            ("sphere", 10, 2, ("-0x1.bece24c2b54edp+2", "0x1.9f4eed1c14459p-13",
+                               "-0x1.bece24c2b54edp+2")),
+            ("sphere", 16, 1, ("-0x1.26d1c1cde7032p+4", "0x1.76583eafb53c6p-30",
+                               "-0x1.26d1c1cde7032p+4")),
+            ("sphere", 16, 2, ("-0x1.270bbb45a1b0ep+4", "0x1.894554e8d8343p-30",
+                               "-0x1.270bbb45a1b0ep+4")),
+            ("importance", 10, 2, ("-0x1.a6b015fd0bd8ap+2", "0x1.21711dddc6fc0p-11",
+                                   "-0x1.a6b015fd0bd8ap+2")),
+        ],
+    )
+    def test_seeded_bits_pinned_up_to_n_16(self, estimator, n, num_streams, want):
+        # n <= 16 keeps 16384-row chunks: these bits must never move
+        op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=1)))
+        cfg = EstimatorConfig(40_000, seed=3, num_streams=num_streams, trace_stride=997)
+        if estimator == "sphere":
+            r = inv_det_sphere(op, cfg)
+        else:
+            r = inv_det_importance(op, DistributionPair.gaussian_q(n, 2.0), cfg)
+        assert (r.log_mean.hex(), r.std_error.hex(), r.trace[-1][1].hex()) == want
+
     def test_trace_covers_stride_grid_across_streams(self):
         m = generate(EnsembleSpec("gaussian_iid", n=3, seed=6))
         r = inv_det_sphere(
@@ -308,19 +346,19 @@ class TestStreams:
         assert [i for i, _ in r.trace] == [3, 6, 9, 10]
 
     @pytest.mark.parametrize(
-        "num_samples, num_streams, stride",
-        [(60, 1, 7), (2 * (_CHUNK + 1000), 2, 997)],
-        ids=["one_chunk", "chunks_and_streams"],
+        "n, num_samples, num_streams, stride",
+        [(3, 60, 1, 7), (3, 2 * (_chunk_rows(3) + 1000), 2, 997), (64, 2 * 10_000, 2, 997)],
+        ids=["one_chunk", "chunks_and_streams", "byte_sized_chunks"],
     )
-    def test_trace_running_means_match_recomputation(self, num_samples, num_streams, stride):
-        m = generate(EnsembleSpec("gaussian_iid", n=3, seed=6))
+    def test_trace_running_means_match_recomputation(self, n, num_samples, num_streams, stride):
+        m = generate(EnsembleSpec("gaussian_iid", n=n, seed=6))
         op = operator_from_matrix(m)
         cfg = EstimatorConfig(num_samples, seed=4, num_streams=num_streams, trace_stride=stride)
         r = inv_det_sphere(op, cfg)
         per_stream = num_samples // num_streams
         w = np.concatenate([
-            sphere_log_weights(op, gaussian_directions(rng, k, 3))
-            for rng, k in chunked_streams(cfg.seed, num_streams, per_stream)
+            sphere_log_weights(op, gaussian_directions(rng, k, n))
+            for rng, k in chunked_streams(cfg.seed, num_streams, per_stream, n)
         ])
         want = running_log_means(w)
         grid = list(range(stride, num_samples + 1, stride))
@@ -346,16 +384,16 @@ class TestStreams:
             return DistributionPair(log_p=log_p, q_sampler=base.q_sampler, log_q=base.log_q)
 
         op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=3, seed=6)))
-        num_samples = 2 * _CHUNK + 500
+        num_samples = 2 * _chunk_rows(3) + 500
         r = inv_det_importance(op, pair(), EstimatorConfig(num_samples, seed=2, trace_stride=997))
         dist = pair()
         w = np.concatenate([
             importance_log_weights(op, dist, dist.q_sampler(rng, k))
-            for rng, k in chunked_streams(2, 1, num_samples)
+            for rng, k in chunked_streams(2, 1, num_samples, 3)
         ])
         want = running_log_means(w)
         first_positive = int(np.argmax(w > -math.inf))
-        assert first_positive >= _CHUNK + 1500
+        assert first_positive >= _chunk_rows(3) + 1500
         values = np.array([v for _, v in r.trace])
         assert not np.isnan(values).any()
         for index, running in r.trace:
@@ -390,12 +428,13 @@ class TestStreams:
             assert running == pytest.approx(want[index - 1], rel=1e-12)
 
 
-def chunked_streams(seed, num_streams, per_stream):
-    """(rng, k) for each block the driver draws, in stream then chunk order."""
+def chunked_streams(seed, num_streams, per_stream, n):
+    """(rng, k) for each block the driver draws at dimension n, in stream then chunk order."""
+    rows = _chunk_rows(n)
     for j in range(num_streams):
         rng = RngStream(seed, j)
-        for done in range(0, per_stream, _CHUNK):
-            yield rng, min(_CHUNK, per_stream - done)
+        for done in range(0, per_stream, rows):
+            yield rng, min(rows, per_stream - done)
 
 
 def running_log_means(log_weights):
