@@ -17,14 +17,27 @@ Applying the sphere formula to a solve-based operator (A maps to A^{-1})
 turns it into an estimator of |det A| itself; that is
 :func:`det_via_inverse_solves`.
 
+The sphere form gets two directions from each Gaussian row g: g and
+Jg = (g[h:], -g[:h]) with h = n // 2.  J is a fixed signed permutation, so
+it is orthogonal, Jg is standard normal too and each direction is exactly
+uniform on the sphere (for even n, g is orthogonal to Jg).  The kernel
+returns the log of the pair's mean weight and the driver folds it as one
+sample, so the standard error is computed over independent pairs whatever
+the correlation inside a pair.  ``num_samples`` still counts directions: a
+stream of d directions draws ceil(d / 2) rows, and for odd d it also
+weighs the partner of its last row.  The trace point at direction p of a
+stream is the running mean over the pairs of the earlier streams and the
+first ceil(p / 2) pairs of that stream, so the last point is ``log_mean``.
+
 Everything is accumulated in log domain: for even modest n the weights span
 ranges that overflow linear float64.  Reported standard errors come from the
 empirical second moment; for ill-conditioned matrices the weights can have
 infinite variance, in which case the standard error is advisory only.  The
-``heavy_tail`` flag on the result is set when some log-weight exceeds
--n log(1e-150); for the sphere form that means some unit direction's image
-norm fell below 1e-150.  Confidence-interval-based checks in this package
-therefore stick to well-conditioned ensembles.
+``heavy_tail`` flag on the result is set when some folded log-weight exceeds
+-n log(1e-150); for the sphere form it is judged on pair means, and a pair
+mean that high means some unit direction's image norm fell below 1e-150.
+Confidence-interval-based checks in this package therefore stick to
+well-conditioned ensembles.
 
 Sampling is partitioned evenly across ``num_streams`` independent substreams
 (one worker each) and partial accumulators are merged in stream-id order, so
@@ -73,6 +86,8 @@ __all__ = [
 _LOG_HEAVY_TAIL = math.log(1e-150)
 
 _TINY_NORMAL = float(np.finfo(np.float64).tiny)
+
+_LOG_2 = math.log(2.0)
 
 
 class SingularDirectionError(RuntimeError):
@@ -144,7 +159,7 @@ class EstimatorConfig:
 
 def default_trace_stride(num_samples: int) -> int:
     """Stride keeping traces at <= 10^4 points regardless of sample count."""
-    return 1 if num_samples <= 10_000 else num_samples // 10_000
+    return (num_samples + 9_999) // 10_000
 
 
 @dataclass(frozen=True)
@@ -231,8 +246,16 @@ def _row_log_norms(images: np.ndarray) -> np.ndarray:
 
 
 def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray) -> np.ndarray:
-    """Per-row log-weights -n (log||op(g)|| - log||g||) = -n log||op(g / ||g||)||."""
-    return -op.n * (_row_log_norms(op.apply_batch(g)) - _row_log_norms(g))
+    """Per-row log of the pair mean (w(g) + w(Jg)) / 2 of the sphere weight
+    w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)), where
+    Jg = (g[h:], -g[:h]) with h = n // 2 is a fixed signed permutation of g."""
+    n, h = op.n, op.n // 2
+    log_r = _row_log_norms(g)  # ||Jg|| = ||g||: one norm serves both directions
+    a = -n * (_row_log_norms(op.apply_batch(g)) - log_r)
+    jg = np.concatenate([g[:, h:], -g[:, :h]], axis=1)
+    b = -n * (_row_log_norms(op.apply_batch(jg)) - log_r)
+    hi = np.maximum(a, b)  # exact log-mean-exp; np.logaddexp costs ~6x as much
+    return hi + np.log1p(np.exp(np.minimum(a, b) - hi)) - _LOG_2
 
 
 def gaussian_ratio_log_weights(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
@@ -284,42 +307,48 @@ def _log_prefix_sums(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _chunk_rows(n: int) -> int:
-    """Rows per vectorized block: at most 16384 rows and 2**18 variates (2 MiB of
-    float64), so a block and its image fit in L2 together.  A pure function of
-    n, so results never depend on scheduling."""
+    """Samples per vectorized block: at most 16384 and 2**18 variates (2 MiB of
+    float64), so memory does not grow with n.  A pure function of n, so
+    results never depend on scheduling."""
     return min(16384, max(1, 2**18 // n))
 
 
-def _run_stream(weigh, n: int, config: EstimatorConfig, stream_id: int, per_stream: int):
-    """Consume one substream: its accumulator, trace points and log prefix sums there."""
+def _run_stream(weigh, n: int, width: int, config: EstimatorConfig, stream_id: int,
+                per_stream: int):
+    """Consume one substream of ``per_stream`` samples, ``width`` per weight: its
+    accumulator, trace points (in samples) and log prefix sums of the weights there."""
     rng = RngStream(config.seed, stream_id)
     acc = StreamingAccumulator()
     stride, is_last = config.trace_stride, stream_id == config.num_streams - 1
     points = _stride_points(stream_id, per_stream, stride, is_last) if stride else np.empty(0, int)
+    ends = (points + width - 1) // width  # the weight each trace point falls in, 1-based
     values = np.empty(points.size)
-    rows, done = _chunk_rows(n), 0
-    while done < per_stream:
-        k = min(rows, per_stream - done)
+    rows, done, total = max(1, _chunk_rows(n) // width), 0, (per_stream + width - 1) // width
+    while done < total:
+        k = min(rows, total - done)
         w = weigh(rng, k)
-        lo, hi = np.searchsorted(points, (done, done + k), side="right")
+        lo, hi = np.searchsorted(ends, (done, done + k), side="right")
         offset = _log_total(acc)
         acc.update_many(w)  # rejects NaN and +inf before the prefix sums see them
         if hi > lo:
-            values[lo:hi] = np.logaddexp(offset, _log_prefix_sums(w, points[lo:hi] - done - 1))
+            values[lo:hi] = np.logaddexp(offset, _log_prefix_sums(w, ends[lo:hi] - done - 1))
         done += k
     return acc, points, values
 
 
-def _run(weigh, n: int, config: EstimatorConfig) -> EstimateResult:
+def _run(weigh, n: int, config: EstimatorConfig, width: int = 1) -> EstimateResult:
+    """Fold ``weigh(rng, k)``, k log-weights each the mean over ``width`` samples,
+    until every stream has covered its share of ``config.num_samples``."""
     per_stream = config.num_samples // config.num_streams
+    weights = (per_stream + width - 1) // width  # folded by each stream
     ids = range(config.num_streams)
     if config.num_streams == 1:
-        results = [_run_stream(weigh, n, config, 0, per_stream)]
+        results = [_run_stream(weigh, n, width, config, 0, per_stream)]
     else:
         workers = min(config.num_streams, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(lambda j: _run_stream(weigh, n, config, j, per_stream), ids)
+                pool.map(lambda j: _run_stream(weigh, n, width, config, j, per_stream), ids)
             )
     # merge in stream-id order: reproducible regardless of worker scheduling;
     # stream j's trace offset is the log-total of the streams before it
@@ -331,9 +360,13 @@ def _run(weigh, n: int, config: EstimatorConfig) -> EstimateResult:
     trace = None
     if config.trace_stride:
         index = np.concatenate([j * per_stream + p for j, (_, p, _) in enumerate(results)])
+        # the running mean at sample p of stream j averages the weights of the
+        # streams before it and the first ceil(p / width) weights of stream j
+        counts = np.concatenate([j * weights + (p + width - 1) // width
+                                 for j, (_, p, _) in enumerate(results)])
         values = np.concatenate([v for _, _, v in results])
         offsets = np.repeat(offsets, [p.size for _, p, _ in results])
-        running = np.logaddexp(offsets, values) - np.log(index)
+        running = np.logaddexp(offsets, values) - np.log(counts)
         trace = tuple(zip(index.tolist(), running.tolist()))
     summary = merged.summarize()
     return EstimateResult(
@@ -353,14 +386,15 @@ def _run(weigh, n: int, config: EstimatorConfig) -> EstimateResult:
 def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateResult:
     """Estimate the reciprocal absolute determinant of the map ``op`` realizes.
 
-    Averages ||op(s)||^{-n} over uniform unit-sphere directions.  Unbiased;
-    zero-variance on orthogonal maps.
+    Averages ||op(s)||^{-n} over uniform unit-sphere directions, two per
+    Gaussian draw (see the module docstring).  Unbiased; zero-variance on
+    orthogonal maps.
     """
 
     def weigh(rng: RngStream, k: int):
         return sphere_log_weights(op, sampling.gaussian_directions(rng, k, op.n))
 
-    return _run(weigh, op.n, config)
+    return _run(weigh, op.n, config, width=2)
 
 
 def inv_det_gaussian_ratio(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateResult:

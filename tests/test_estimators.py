@@ -17,6 +17,8 @@ from detmc.estimators import (
     SingularDirectionError,
     UnsupportedSampleError,
     _chunk_rows,
+    _stride_points,
+    default_trace_stride,
     det_via_inverse_solves,
     gaussian_ratio_log_weights,
     importance_log_weights,
@@ -101,9 +103,40 @@ class TestSphereEstimator:
 
         monkeypatch.setattr(detmc.sampling, "gaussian_matrix", zero_first_row_of_first_block)
         r = inv_det_sphere(operator_from_matrix(DenseMatrix(np.eye(2))), EstimatorConfig(50))
-        assert calls == [50]
+        assert calls == [25]  # 50 directions, two per drawn row
         assert r.log_mean == 0.0
         assert r.std_error == 0.0
+
+    @pytest.mark.parametrize(
+        "num_samples, num_streams, rows", [(10, 1, [5]), (11, 1, [6]), (10, 2, [3, 3])]
+    )
+    def test_two_directions_per_drawn_row(self, monkeypatch, num_samples, num_streams, rows):
+        real = detmc.sampling.gaussian_matrix
+        drawn = {}
+
+        def counting(rng, k, n):
+            drawn[rng.stream_id] = drawn.get(rng.stream_id, 0) + k
+            return real(rng, k, n)
+
+        monkeypatch.setattr(detmc.sampling, "gaussian_matrix", counting)
+        m = well_conditioned(3, seed=2)
+        cfg = EstimatorConfig(num_samples, seed=1, num_streams=num_streams)
+        for estimate in (inv_det_sphere, det_via_inverse_solves):
+            drawn.clear()
+            arg = operator_from_matrix(m) if estimate is inv_det_sphere else m
+            assert estimate(arg, cfg).n_samples == num_samples
+            assert [drawn[j] for j in range(num_streams)] == rows
+
+    def test_perfectly_correlated_pairs_count_once(self):
+        # for A = diag(d, d), J^T A^T A J = A^T A, so w(Jg) = w(g): the result is
+        # the mean and standard error of the ceil(N / 2) directions g alone
+        m = DenseMatrix(np.diag([0.7, 1.3, 0.7, 1.3]))
+        r = inv_det_sphere(operator_from_matrix(m), EstimatorConfig(4001, seed=7))
+        g = gaussian_directions(RngStream(7, 0), 2001, 4)
+        w = -4 * (np.log(np.linalg.norm(g @ m.data.T, axis=1)) - np.log(np.linalg.norm(g, axis=1)))
+        log_mean, std_error = streaming_log_mean(w)
+        assert r.log_mean == pytest.approx(log_mean, rel=1e-12)
+        assert r.std_error == pytest.approx(std_error, rel=1e-9)
 
 
 class TestInverseSolveEstimator:
@@ -295,6 +328,32 @@ class TestInvariants:
                     hits[name] += 1
         assert all(h >= 17 for h in hits.values()), hits
 
+    @pytest.mark.parametrize(
+        "matrix, inverse",
+        [
+            (DenseMatrix(np.diag([0.7, 1.3, 0.7, 1.3])), False),
+            (DenseMatrix(np.diag([0.7, 1.3, 0.7, 1.3])), True),
+            (well_conditioned(10, seed=5, cond=1.5), False),
+            (well_conditioned(10, seed=5, cond=1.5), True),
+        ],
+        ids=["perfect_pairs", "perfect_pairs_inverse", "ill_conditioned", "inverse_solve"],
+    )
+    def test_std_error_is_calibrated_over_seeds(self, matrix, inverse):
+        """z = (mean - target) / std_error over 200 seeds has sd near 1, also when
+        both directions of every pair weigh the same (perfect_pairs): counting the
+        pairs' 2 x 2001 directions as independent would give sd near 1.41."""
+        log_det = oracle_log_det(matrix)
+        z = []
+        for seed in range(200):
+            cfg = EstimatorConfig(4002, seed=seed, num_streams=2)
+            if inverse:
+                r, target = det_via_inverse_solves(matrix, cfg), math.exp(log_det)
+            else:
+                r, target = inv_det_sphere(operator_from_matrix(matrix), cfg), math.exp(-log_det)
+            z.append((r.mean - target) / r.std_error)
+        assert abs(np.mean(z)) < 0.25
+        assert 0.8 < np.std(z, ddof=1) < 1.2
+
 
 class TestStreams:
     def test_rerun_is_bit_identical(self):
@@ -315,20 +374,20 @@ class TestStreams:
     @pytest.mark.parametrize(
         "estimator, n, num_streams, want",
         [
-            ("sphere", 10, 1, ("-0x1.d047a7790ad5fp+2", "0x1.42997e7d18602p-14",
-                               "-0x1.d047a7790ad5ep+2")),
-            ("sphere", 10, 2, ("-0x1.bece24c2b54edp+2", "0x1.9f4eed1c14459p-13",
-                               "-0x1.bece24c2b54edp+2")),
-            ("sphere", 16, 1, ("-0x1.26d1c1cde7032p+4", "0x1.76583eafb53c6p-30",
-                               "-0x1.26d1c1cde7032p+4")),
-            ("sphere", 16, 2, ("-0x1.270bbb45a1b0ep+4", "0x1.894554e8d8343p-30",
-                               "-0x1.270bbb45a1b0ep+4")),
+            ("sphere", 10, 1, ("-0x1.b2c08857319b2p+2", "0x1.48d721da7febap-12",
+                               "-0x1.b2c08857319b0p+2")),
+            ("sphere", 10, 2, ("-0x1.c4f54155a9060p+2", "0x1.1b25657348e5cp-13",
+                               "-0x1.c4f54155a905fp+2")),
+            ("sphere", 16, 1, ("-0x1.2154362632100p+4", "0x1.2075eaee3f10dp-28",
+                               "-0x1.2154362632100p+4")),
+            ("sphere", 16, 2, ("-0x1.131eec637a39ap+4", "0x1.56382da9c1983p-26",
+                               "-0x1.131eec637a39ap+4")),
             ("importance", 10, 2, ("-0x1.a6b015fd0bd8ap+2", "0x1.21711dddc6fc0p-11",
                                    "-0x1.a6b015fd0bd8ap+2")),
         ],
     )
     def test_seeded_bits_pinned_up_to_n_16(self, estimator, n, num_streams, want):
-        # n <= 16 keeps 16384-row chunks: these bits must never move
+        # n <= 16 keeps 16384-sample chunks: these bits must never move
         op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=1)))
         cfg = EstimatorConfig(40_000, seed=3, num_streams=num_streams, trace_stride=997)
         if estimator == "sphere":
@@ -336,6 +395,11 @@ class TestStreams:
         else:
             r = inv_det_importance(op, DistributionPair.gaussian_q(n, 2.0), cfg)
         assert (r.log_mean.hex(), r.std_error.hex(), r.trace[-1][1].hex()) == want
+
+    @pytest.mark.parametrize("num_samples", [1, 10_000, 10_001, 19_999, 2**21])
+    def test_default_trace_stride_keeps_at_most_10_4_points(self, num_samples):
+        stride = default_trace_stride(num_samples)
+        assert 1 <= _stride_points(0, num_samples, stride, is_last=True).size <= 10_000
 
     def test_trace_covers_stride_grid_across_streams(self):
         m = generate(EnsembleSpec("gaussian_iid", n=3, seed=6))
@@ -347,8 +411,9 @@ class TestStreams:
 
     @pytest.mark.parametrize(
         "n, num_samples, num_streams, stride",
-        [(3, 60, 1, 7), (3, 2 * (_chunk_rows(3) + 1000), 2, 997), (64, 2 * 10_000, 2, 997)],
-        ids=["one_chunk", "chunks_and_streams", "byte_sized_chunks"],
+        [(3, 60, 1, 7), (3, 2 * (_chunk_rows(3) + 1000), 2, 997), (64, 2 * 10_000, 2, 997),
+         (3, 2 * 1001, 2, 7)],
+        ids=["one_chunk", "chunks_and_streams", "byte_sized_chunks", "odd_streams"],
     )
     def test_trace_running_means_match_recomputation(self, n, num_samples, num_streams, stride):
         m = generate(EnsembleSpec("gaussian_iid", n=n, seed=6))
@@ -356,15 +421,19 @@ class TestStreams:
         cfg = EstimatorConfig(num_samples, seed=4, num_streams=num_streams, trace_stride=stride)
         r = inv_det_sphere(op, cfg)
         per_stream = num_samples // num_streams
+        pairs = -(-per_stream // 2)
         w = np.concatenate([
             sphere_log_weights(op, gaussian_directions(rng, k, n))
-            for rng, k in chunked_streams(cfg.seed, num_streams, per_stream, n)
+            for rng, k in chunked_streams(cfg.seed, num_streams, per_stream, n, width=2)
         ])
         want = running_log_means(w)
         grid = list(range(stride, num_samples + 1, stride))
         assert [i for i, _ in r.trace] == grid + [num_samples] * (grid[-1] != num_samples)
         for index, running in r.trace:
-            assert running == pytest.approx(want[index - 1], rel=1e-12)
+            # direction q (0-based) of stream j closes pair q // 2 of that stream
+            j, q = divmod(index - 1, per_stream)
+            assert running == pytest.approx(want[j * pairs + q // 2], rel=1e-12)
+        assert r.trace[-1][1] == pytest.approx(r.log_mean, rel=1e-12)
 
     def test_trace_with_zero_weights(self):
         # p has zero density on the rows whose image has a positive first
@@ -428,13 +497,14 @@ class TestStreams:
             assert running == pytest.approx(want[index - 1], rel=1e-12)
 
 
-def chunked_streams(seed, num_streams, per_stream, n):
-    """(rng, k) for each block the driver draws at dimension n, in stream then chunk order."""
-    rows = _chunk_rows(n)
+def chunked_streams(seed, num_streams, per_stream, n, width=1):
+    """(rng, k) for each block of k weights, ``width`` samples each, that the driver
+    draws at dimension n, in stream then chunk order."""
+    rows, total = max(1, _chunk_rows(n) // width), -(-per_stream // width)
     for j in range(num_streams):
         rng = RngStream(seed, j)
-        for done in range(0, per_stream, rows):
-            yield rng, min(rows, per_stream - done)
+        for done in range(0, total, rows):
+            yield rng, min(rows, total - done)
 
 
 def running_log_means(log_weights):
