@@ -18,7 +18,6 @@ from .estimators import (
     SingularDirectionError,
     UnsupportedSampleError,
     det_via_inverse_solves,
-    inv_det_gaussian_ratio,
     inv_det_importance,
     inv_det_sphere,
     operator_from_matrix,
@@ -56,7 +55,6 @@ __all__ = [
     "UnsupportedSampleError",
     "det_via_inverse_solves",
     "generate",
-    "inv_det_gaussian_ratio",
     "inv_det_importance",
     "inv_det_sphere",
     "load_matrix",

@@ -1,7 +1,8 @@
-"""Command-line front end: estimate, convergence traces, validation suite.
+"""Command-line front end: ``estimate`` prints one estimate, ``convergence``
+writes its running-estimate trace as CSV.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O or file-format problem,
-3 singular matrix, 64 usage error.
+Exit codes: 0 success, 2 I/O or file-format problem, 3 singular matrix,
+64 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .estimators import (
     EstimatorConfig,
     default_trace_stride,
     det_via_inverse_solves,
-    inv_det_gaussian_ratio,
     inv_det_importance,
     inv_det_sphere,
     operator_from_matrix,
@@ -31,22 +31,15 @@ from .linalg import (
     log_abs_det,
     lu_factorize,
 )
-from .validation import run_property_suite
 
-__all__ = ["main", "RunSpec", "run_estimate", "run_convergence", "run_validate"]
+__all__ = ["main", "RunSpec", "run_estimate", "run_convergence"]
 
 EXIT_OK = 0
-EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_SINGULAR = 3
 EXIT_USAGE = 64
 
-ESTIMATOR_NAMES = (
-    "sphere_invdet",
-    "inverse_solve_det",
-    "gaussian_ratio_invdet",
-    "importance_invdet",
-)
+ESTIMATOR_NAMES = ("sphere_invdet", "inverse_solve_det", "importance_invdet")
 
 # estimators whose target is |det A| rather than its reciprocal
 _TARGETS_DET = frozenset({"inverse_solve_det"})
@@ -110,9 +103,6 @@ def _build_parser() -> _Parser:
     _add_run_flags(p_conv)
     p_conv.add_argument("--out", required=True, help="CSV output path")
     p_conv.add_argument("--trace-stride", type=int, default=0, dest="trace_stride")
-
-    p_val = sub.add_parser("validate", help="run the property suite")
-    p_val.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -138,8 +128,6 @@ def _resolve_ensemble(args) -> EnsembleSpec:
 def _spec_from_args(args) -> RunSpec:
     if args.seed < 0:
         raise _UsageError("--seed must be non-negative")
-    if args.command == "validate":
-        return RunSpec(command="validate", seed=args.seed)
     if (args.matrix is None) == (args.ensemble is None):
         raise _UsageError("exactly one of --matrix and --ensemble is required")
     if args.samples < 1:
@@ -185,8 +173,6 @@ def _run_estimator(spec: RunSpec, matrix: DenseMatrix, f: LUFactorization, trace
     op = operator_from_matrix(matrix)
     if spec.estimator == "sphere_invdet":
         return inv_det_sphere(op, config)
-    if spec.estimator == "gaussian_ratio_invdet":
-        return inv_det_gaussian_ratio(op, config)
     if spec.estimator == "importance_invdet":
         return inv_det_importance(op, DistributionPair.gaussian_q(matrix.n, spec.q_var), config)
     raise _UsageError(f"unknown estimator {spec.estimator!r}")
@@ -237,19 +223,6 @@ def run_convergence(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def run_validate(spec: RunSpec) -> int:
-    results = run_property_suite(spec.seed)
-    for r in results:
-        print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
-    failures = [r.name for r in results if not r.ok]
-    if failures:
-        print(f"{len(failures)} propert{'y' if len(failures) == 1 else 'ies'} failed: "
-              + ", ".join(failures))
-        return EXIT_VALIDATION
-    print(f"all {len(results)} properties passed")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -264,9 +237,7 @@ def main(argv=None) -> int:
     try:
         if spec.command == "estimate":
             return run_estimate(spec)
-        if spec.command == "convergence":
-            return run_convergence(spec)
-        return run_validate(spec)
+        return run_convergence(spec)
     except (MatrixFormatError, OSError) as exc:
         print(f"detmc: error: {exc}", file=sys.stderr)
         return EXIT_IO

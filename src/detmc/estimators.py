@@ -1,18 +1,18 @@
 """Monte Carlo estimators for absolute determinants and their reciprocals.
 
-Three weight formulas, all unbiased for the reciprocal absolute determinant
+Two weight formulas, both unbiased for the reciprocal absolute determinant
 of the map an operator realizes:
 
-* sphere:          w = ||A s||^{-n},            s uniform on the unit sphere
-* gaussian_ratio:  w = exp((||x||^2 - ||A x||^2) / 2),   x standard normal
-* importance:      w = p(A x) / q(x),           x drawn from q
+* sphere:      w = ||A s||^{-n},     s uniform on the unit sphere
+* importance:  w = p(A x) / q(x),    x drawn from q
 
-The sphere form is the gaussian_ratio form with the chi-distributed radius
-integrated out analytically, so the two cross-validate each other; the
-importance form is the general hook for user-supplied (p, q) pairs.  The
-sphere weight is homogeneous of degree 0 in s, so it is computed on the
-unnormalised Gaussian g = r s as -n (log||A g|| - log||g||): no draw is
-normalised first.
+The importance form is the general hook for user-supplied (p, q) pairs.
+With q = p = N(0, I) the normalising constants cancel and the weight is the
+Gaussian ratio exp((||x||^2 - ||A x||^2) / 2); the sphere form is that ratio
+with the chi-distributed radius of x integrated out analytically, so the two
+cross-validate each other.  The sphere weight is homogeneous of degree 0 in
+s, so it is computed on the unnormalised Gaussian g = r s as
+-n (log||A g|| - log||g||): no draw is normalised first.
 Applying the sphere formula to a solve-based operator (A maps to A^{-1})
 turns it into an estimator of |det A| itself; that is
 :func:`det_via_inverse_solves`.
@@ -71,11 +71,9 @@ __all__ = [
     "operator_from_matrix",
     "solve_operator",
     "inv_det_sphere",
-    "inv_det_gaussian_ratio",
     "inv_det_importance",
     "det_via_inverse_solves",
     "sphere_log_weights",
-    "gaussian_ratio_log_weights",
     "importance_log_weights",
     "default_trace_stride",
 ]
@@ -103,9 +101,10 @@ class MatrixFreeOperator:
     """A linear map exposed only through batched products.
 
     ``apply_batch`` maps a (k, n) block of row vectors to the (k, n) block
-    of their images and must be deterministic.  Estimators pass blocks of
-    at most ``min(16384, max(1, 2**18 // n))`` rows and may call
-    ``apply_batch`` from several threads at once.
+    of their images and must be deterministic; an image block of any other
+    shape is a ``ValueError``.  Estimators pass blocks of at most
+    ``min(16384, max(1, 2**18 // n))`` rows and may call ``apply_batch``
+    from several threads at once.
     """
 
     n: int
@@ -193,9 +192,11 @@ class DistributionPair:
 
     ``q_sampler(rng, k)`` draws a (k, n) block from q consuming ``rng``
     deterministically; ``log_p`` / ``log_q`` evaluate log-densities row-wise
-    on such blocks.  q must have full support: a drawn sample with
-    ``log_q = -inf`` is reported as :class:`UnsupportedSampleError`.  p may
-    assign zero density (the weight is then exactly zero).
+    on such blocks, one value per row.  A pair that yields other than k
+    weights for k requested rows is a ``ValueError``.  q must have full
+    support: a drawn sample with ``log_q = -inf`` is reported as
+    :class:`UnsupportedSampleError`.  p may assign zero density (the weight
+    is then exactly zero).
     """
 
     log_p: Callable[[np.ndarray], np.ndarray]
@@ -245,23 +246,25 @@ def _row_log_norms(images: np.ndarray) -> np.ndarray:
     return out
 
 
+def _apply(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
+    """``op.apply_batch(x)``, checked to be a block of the same shape as ``x``."""
+    images = op.apply_batch(x)
+    if np.shape(images) != x.shape:
+        raise ValueError(f"apply_batch mapped a {x.shape} block to {np.shape(images)}")
+    return images
+
+
 def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray) -> np.ndarray:
     """Per-row log of the pair mean (w(g) + w(Jg)) / 2 of the sphere weight
     w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)), where
     Jg = (g[h:], -g[:h]) with h = n // 2 is a fixed signed permutation of g."""
     n, h = op.n, op.n // 2
     log_r = _row_log_norms(g)  # ||Jg|| = ||g||: one norm serves both directions
-    a = -n * (_row_log_norms(op.apply_batch(g)) - log_r)
+    a = -n * (_row_log_norms(_apply(op, g)) - log_r)
     jg = np.concatenate([g[:, h:], -g[:, :h]], axis=1)
-    b = -n * (_row_log_norms(op.apply_batch(jg)) - log_r)
+    b = -n * (_row_log_norms(_apply(op, jg)) - log_r)
     hi = np.maximum(a, b)  # exact log-mean-exp; np.logaddexp costs ~6x as much
     return hi + np.log1p(np.exp(np.minimum(a, b) - hi)) - _LOG_2
-
-
-def gaussian_ratio_log_weights(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
-    """Per-sample log-weights (||x||^2 - ||op(x)||^2) / 2."""
-    images = op.apply_batch(x)
-    return 0.5 * (np.einsum("ij,ij->i", x, x) - np.einsum("ij,ij->i", images, images))
 
 
 def importance_log_weights(
@@ -271,8 +274,10 @@ def importance_log_weights(
     log_q = np.asarray(dist.log_q(x), dtype=np.float64)
     if np.any(np.isneginf(log_q)):
         raise UnsupportedSampleError("q has zero density at one of its own samples")
-    log_p = np.asarray(dist.log_p(op.apply_batch(x)), dtype=np.float64)
-    return log_p - log_q
+    images = _apply(op, x)
+    if not np.isfinite(images).all():
+        raise ValueError("operator produced a non-finite image")
+    return np.asarray(dist.log_p(images), dtype=np.float64) - log_q
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +332,8 @@ def _run_stream(weigh, n: int, width: int, config: EstimatorConfig, stream_id: i
     while done < total:
         k = min(rows, total - done)
         w = weigh(rng, k)
+        if w.shape != (k,):
+            raise ValueError(f"expected {k} log-weights from a chunk, got shape {w.shape}")
         lo, hi = np.searchsorted(ends, (done, done + k), side="right")
         offset = _log_total(acc)
         acc.update_many(w)  # rejects NaN and +inf before the prefix sums see them
@@ -395,19 +402,6 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
         return sphere_log_weights(op, sampling.gaussian_directions(rng, k, op.n))
 
     return _run(weigh, op.n, config, width=2)
-
-
-def inv_det_gaussian_ratio(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateResult:
-    """Reciprocal-determinant estimate by the Gaussian density ratio.
-
-    This is the sphere estimator without the radial integration carried out:
-    higher variance, kept as an independent cross-check of the sphere form.
-    """
-
-    def weigh(rng: RngStream, k: int):
-        return gaussian_ratio_log_weights(op, sampling.gaussian_matrix(rng, k, op.n))
-
-    return _run(weigh, op.n, config)
 
 
 def inv_det_importance(

@@ -15,7 +15,6 @@ from detmc.estimators import (
     DistributionPair,
     EstimatorConfig,
     det_via_inverse_solves,
-    inv_det_gaussian_ratio,
     inv_det_importance,
     inv_det_sphere,
     operator_from_matrix,
@@ -64,7 +63,7 @@ def test_criterion_1_convergence_reproduction(tmp_path):
 
 
 def test_criterion_2_orthogonal_exactness():
-    """All three reciprocal estimators exact on Haar orthogonal matrices."""
+    """Both reciprocal estimators exact on Haar orthogonal matrices."""
     worst = 0.0
     for n in (2, 10, 50):
         for seed in range(5):
@@ -73,7 +72,6 @@ def test_criterion_2_orthogonal_exactness():
             cfg = EstimatorConfig(100, seed=seed)
             for r in (
                 inv_det_sphere(op, cfg),
-                inv_det_gaussian_ratio(op, cfg),
                 inv_det_importance(op, DistributionPair.gaussian_q(n, 1.0), cfg),
             ):
                 worst = max(worst, abs(r.mean - 1.0), r.std_error)
@@ -112,7 +110,9 @@ def test_criterion_5_cross_estimator_agreement():
     m = generate(EnsembleSpec("ill_conditioned", n=4, seed=42, cond=1.2))
     op = operator_from_matrix(m)
     r1 = inv_det_sphere(op, EstimatorConfig(1_000_000, seed=5))
-    r2 = inv_det_gaussian_ratio(op, EstimatorConfig(1_000_000, seed=6))
+    r2 = inv_det_importance(
+        op, DistributionPair.gaussian_q(4, 1.0), EstimatorConfig(1_000_000, seed=6)
+    )
     gap = abs(r1.log_mean - r2.log_mean)
     band = 3.0 * math.hypot(r1.std_error / r1.mean, r2.std_error / r2.mean)
     report("C5 cross-estimator-agreement", gap <= band, f"log gap {gap:.2e} <= {band:.2e}")

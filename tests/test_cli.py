@@ -7,7 +7,6 @@ import pytest
 
 import detmc.cli
 import detmc.estimators
-import detmc.sampling
 from detmc.cli import main
 from detmc.linalg import DenseMatrix, save_matrix
 
@@ -65,7 +64,7 @@ class TestEstimate:
 
     def test_estimate_exp_consistency(self, capsys):
         code = run_cli(
-            "estimate", "--estimator", "gaussian_ratio_invdet", "--ensemble", "gaussian_iid",
+            "estimate", "--estimator", "importance_invdet", "--ensemble", "gaussian_iid",
             "--n", "4", "--samples", "1000", "--seed", "9",
         )
         assert code == 0
@@ -183,7 +182,7 @@ class TestConvergence:
 
     def test_multistream_rerun_is_byte_identical(self, tmp_path):
         argv = [
-            "convergence", "--estimator", "gaussian_ratio_invdet", "--ensemble",
+            "convergence", "--estimator", "importance_invdet", "--ensemble",
             "gaussian_iid", "--n", "4", "--samples", "4000", "--seed", "2",
             "--streams", "4",
         ]
@@ -199,27 +198,6 @@ class TestConvergence:
             "--out", str(tmp_path / "no" / "such" / "dir.csv"),
         )
         assert code == 2
-
-
-class TestValidate:
-    def test_healthy_build_passes(self, capsys):
-        assert run_cli("validate") == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") == 4
-
-    def test_alternate_seed_passes(self):
-        assert run_cli("validate", "--seed", "99") == 0
-
-    def test_unnormalized_sphere_sampler_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            detmc.sampling,
-            "unit_sphere_many",
-            lambda rng, k, n: detmc.sampling.gaussian_matrix(rng, k, n),
-        )
-        assert run_cli("validate") == 1
-        out = capsys.readouterr().out
-        assert "FAIL sphere_sampler_moments" in out
 
 
 class TestExitCodes:
@@ -274,11 +252,16 @@ class TestExitCodes:
         ) == 64
 
     def test_unknown_estimator_usage_error(self, capsys):
-        assert run_cli(
-            "estimate", "--estimator", "nonsense", "--ensemble", "gaussian_iid",
-            "--n", "3", "--samples", "10",
-        ) == 64
+        for name in ("nonsense", "gaussian_ratio_invdet"):  # now importance_invdet --q-var 1
+            assert run_cli(
+                "estimate", "--estimator", name, "--ensemble", "gaussian_iid",
+                "--n", "3", "--samples", "10",
+            ) == 64
         capsys.readouterr()
+
+    def test_removed_validate_subcommand_usage_error(self, capsys):
+        assert run_cli("validate") == 64
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_out_usage_error(self, capsys):
         assert run_cli(
@@ -294,7 +277,10 @@ class TestExitCodes:
         ) == 64
 
     def test_negative_seed_usage_error(self, capsys):
-        assert run_cli("validate", "--seed", "-1") == 64
+        assert run_cli(
+            "estimate", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--n", "3", "--samples", "10", "--seed", "-1",
+        ) == 64
         assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("q_var", ["-1", "0", "nan", "inf"])

@@ -20,9 +20,7 @@ from detmc.estimators import (
     _stride_points,
     default_trace_stride,
     det_via_inverse_solves,
-    gaussian_ratio_log_weights,
     importance_log_weights,
-    inv_det_gaussian_ratio,
     inv_det_importance,
     inv_det_sphere,
     operator_from_matrix,
@@ -88,7 +86,8 @@ class TestSphereEstimator:
         cfg = EstimatorConfig(10, seed=0, num_streams=2)
         assert inv_det_sphere(operator_from_matrix(m), cfg).heavy_tail is heavy
         assert det_via_inverse_solves(DenseMatrix(np.eye(3) / scale), cfg).heavy_tail is heavy
-        assert not inv_det_gaussian_ratio(operator_from_matrix(m), cfg).heavy_tail
+        pair = DistributionPair.gaussian_q(3, 1.0)
+        assert not inv_det_importance(operator_from_matrix(m), pair, cfg).heavy_tail
 
     def test_zero_draw_is_redrawn_not_singular(self, monkeypatch):
         real = detmc.sampling.gaussian_matrix
@@ -182,29 +181,16 @@ class TestInverseSolveEstimator:
 
 
 class TestGaussianRatioEstimator:
+    """The importance estimator with q = p = N(0, I): the Gaussian-ratio weight."""
+
     def test_identity(self):
-        r = inv_det_gaussian_ratio(
-            operator_from_matrix(DenseMatrix(np.eye(5))), EstimatorConfig(100, seed=0)
+        r = inv_det_importance(
+            operator_from_matrix(DenseMatrix(np.eye(5))),
+            DistributionPair.gaussian_q(5, 1.0),
+            EstimatorConfig(100, seed=0),
         )
         assert r.mean == pytest.approx(1.0, abs=1e-12)
         assert r.std_error == 0.0
-
-    def test_orthogonal_preserves_norms(self):
-        q = generate(EnsembleSpec("orthogonal", n=8, seed=4))
-        r = inv_det_gaussian_ratio(operator_from_matrix(q), EstimatorConfig(100, seed=5))
-        assert r.mean == pytest.approx(1.0, abs=1e-9)
-        assert r.std_error <= 1e-9
-
-    def test_agrees_with_sphere_estimator(self):
-        m = well_conditioned(4, seed=42)
-        op = operator_from_matrix(m)
-        r_sphere = inv_det_sphere(op, EstimatorConfig(1_000_000, seed=6))
-        r_ratio = inv_det_gaussian_ratio(op, EstimatorConfig(1_000_000, seed=7))
-        gap = abs(r_sphere.log_mean - r_ratio.log_mean)
-        combined = math.hypot(
-            r_sphere.std_error / r_sphere.mean, r_ratio.std_error / r_ratio.mean
-        )
-        assert gap <= 3.0 * combined
 
 
 class TestImportanceEstimator:
@@ -212,13 +198,10 @@ class TestImportanceEstimator:
         m = generate(EnsembleSpec("gaussian_iid", n=4, seed=9))
         op = operator_from_matrix(m)
         x = gaussian_matrix(RngStream(3, 0), 500, 4)
-        direct = gaussian_ratio_log_weights(op, x)
+        y = x @ m.data.T
+        direct = 0.5 * (np.sum(x * x, axis=1) - np.sum(y * y, axis=1))
         via_pair = importance_log_weights(op, DistributionPair.gaussian_q(4, 1.0), x)
         np.testing.assert_allclose(via_pair, direct, atol=1e-12)
-        cfg = EstimatorConfig(10_000, seed=11)
-        r1 = inv_det_importance(op, DistributionPair.gaussian_q(4, 1.0), cfg)
-        r2 = inv_det_gaussian_ratio(op, cfg)
-        assert r1.log_mean == pytest.approx(r2.log_mean, abs=1e-12)
 
     def test_identity_any_pair(self):
         op = operator_from_matrix(DenseMatrix(np.eye(3)))
@@ -298,7 +281,6 @@ class TestInvariants:
         cfg = EstimatorConfig(100, seed=13)
         results = [
             inv_det_sphere(op, cfg),
-            inv_det_gaussian_ratio(op, cfg),
             inv_det_importance(op, DistributionPair.gaussian_q(12, 1.0), cfg),
         ]
         for r in results:
@@ -311,12 +293,11 @@ class TestInvariants:
         op = operator_from_matrix(m)
         log_det = oracle_log_det(m)
         inv_target, det_target = math.exp(-log_det), math.exp(log_det)
-        hits = {"sphere": 0, "ratio": 0, "importance": 0, "inverse_solve": 0}
+        hits = {"sphere": 0, "importance": 0, "inverse_solve": 0}
         for seed in range(20):
             cfg = EstimatorConfig(1_000_000, seed=seed)
             runs = {
                 "sphere": (inv_det_sphere(op, cfg), inv_target),
-                "ratio": (inv_det_gaussian_ratio(op, cfg), inv_target),
                 "importance": (
                     inv_det_importance(op, DistributionPair.gaussian_q(3, 1.0), cfg),
                     inv_target,
@@ -576,7 +557,7 @@ class TestConfigAndTypes:
     def test_nan_from_operator_is_loud(self):
         op = MatrixFreeOperator(n=2, apply_batch=lambda x: x * np.nan)
         with pytest.raises(ValueError):
-            inv_det_gaussian_ratio(op, EstimatorConfig(4, seed=0))
+            inv_det_importance(op, DistributionPair.gaussian_q(2, 1.0), EstimatorConfig(4))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_invalid_weight_with_trace_is_loud(self, bad):
@@ -591,3 +572,34 @@ class TestConfigAndTypes:
         op = MatrixFreeOperator(n=2, apply_batch=lambda x: x)
         with pytest.raises(ValueError):
             inv_det_importance(op, dist, EstimatorConfig(10, seed=0, trace_stride=1))
+
+    @pytest.mark.parametrize("apply_batch", [lambda x: x[:, :2], lambda x: 2.0 * x[:1]],
+                             ids=["dropped_column", "broadcast_row"])
+    @pytest.mark.parametrize("estimate", [
+        inv_det_sphere,
+        lambda op, cfg: inv_det_importance(op, DistributionPair.gaussian_q(op.n, 1.0), cfg),
+    ], ids=["sphere", "importance"])
+    def test_image_of_the_wrong_shape_is_loud(self, apply_batch, estimate):
+        op = MatrixFreeOperator(n=3, apply_batch=apply_batch)
+        with pytest.raises(ValueError, match="apply_batch mapped"):
+            estimate(op, EstimatorConfig(100, seed=0))
+
+    def test_non_finite_image_is_loud_for_importance(self):
+        # the sphere kernel raises the same error on this operator
+        def apply_batch(x):
+            y = x.copy()
+            y[::7] = np.inf
+            return y
+
+        op = MatrixFreeOperator(n=3, apply_batch=apply_batch)
+        with pytest.raises(ValueError, match="non-finite image"):
+            inv_det_importance(op, DistributionPair.gaussian_q(3, 1.0), EstimatorConfig(100))
+
+    def test_kernel_returning_too_few_weights_is_loud(self):
+        base = DistributionPair.gaussian_q(2, 1.0)
+        dist = DistributionPair(
+            log_p=base.log_p, q_sampler=lambda rng, k: base.q_sampler(rng, 1), log_q=base.log_q
+        )
+        op = MatrixFreeOperator(n=2, apply_batch=lambda x: x)
+        with pytest.raises(ValueError, match="log-weights"):
+            inv_det_importance(op, dist, EstimatorConfig(1000))
