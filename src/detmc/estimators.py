@@ -104,7 +104,9 @@ class MatrixFreeOperator:
     of their images and must be deterministic; an image block of any other
     shape is a ``ValueError``.  Estimators pass blocks of at most
     ``min(16384, max(1, 2**18 // n))`` rows and may call ``apply_batch``
-    from several threads at once.
+    from several threads at once.  The block is a read-only view of a
+    buffer the estimator refills on its next chunk: ``apply_batch`` must
+    not write to it (numpy raises ``ValueError``) or keep a reference to it.
     """
 
     n: int
@@ -192,11 +194,11 @@ class DistributionPair:
 
     ``q_sampler(rng, k)`` draws a (k, n) block from q consuming ``rng``
     deterministically; ``log_p`` / ``log_q`` evaluate log-densities row-wise
-    on such blocks, one value per row.  A pair that yields other than k
-    weights for k requested rows is a ``ValueError``.  q must have full
-    support: a drawn sample with ``log_q = -inf`` is reported as
-    :class:`UnsupportedSampleError`.  p may assign zero density (the weight
-    is then exactly zero).
+    on such blocks, one value per row: any other shape, a scalar included,
+    is a ``ValueError``, as is a pair that yields other than k weights for
+    k requested rows.  q must have full support: a drawn sample with
+    ``log_q = -inf`` is reported as :class:`UnsupportedSampleError`.  p may
+    assign zero density (the weight is then exactly zero).
     """
 
     log_p: Callable[[np.ndarray], np.ndarray]
@@ -247,21 +249,29 @@ def _row_log_norms(images: np.ndarray) -> np.ndarray:
 
 
 def _apply(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
-    """``op.apply_batch(x)``, checked to be a block of the same shape as ``x``."""
-    images = op.apply_batch(x)
+    """``op.apply_batch`` on a read-only view of ``x``, checked to return a
+    block of the same shape: an operator cannot scribble on a block that is
+    still to be weighed, or that the next chunk reuses."""
+    view = x.view()
+    view.flags.writeable = False
+    images = op.apply_batch(view)
     if np.shape(images) != x.shape:
         raise ValueError(f"apply_batch mapped a {x.shape} block to {np.shape(images)}")
     return images
 
 
-def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray) -> np.ndarray:
+def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *,
+                       jg: np.ndarray | None = None) -> np.ndarray:
     """Per-row log of the pair mean (w(g) + w(Jg)) / 2 of the sphere weight
     w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)), where
-    Jg = (g[h:], -g[:h]) with h = n // 2 is a fixed signed permutation of g."""
+    Jg = (g[h:], -g[:h]) with h = n // 2 is a fixed signed permutation of g.
+    Jg is written into ``jg`` when given, a block of g's shape."""
     n, h = op.n, op.n // 2
     log_r = _row_log_norms(g)  # ||Jg|| = ||g||: one norm serves both directions
     a = -n * (_row_log_norms(_apply(op, g)) - log_r)
-    jg = np.concatenate([g[:, h:], -g[:, :h]], axis=1)
+    jg = np.empty_like(g) if jg is None else jg
+    jg[:, : n - h] = g[:, h:]
+    np.negative(g[:, :h], out=jg[:, n - h:])
     b = -n * (_row_log_norms(_apply(op, jg)) - log_r)
     hi = np.maximum(a, b)  # exact log-mean-exp; np.logaddexp costs ~6x as much
     return hi + np.log1p(np.exp(np.minimum(a, b) - hi)) - _LOG_2
@@ -271,13 +281,22 @@ def importance_log_weights(
     op: MatrixFreeOperator, dist: DistributionPair, x: np.ndarray
 ) -> np.ndarray:
     """Per-sample log-weights log p(op(x)) - log q(x)."""
-    log_q = np.asarray(dist.log_q(x), dtype=np.float64)
+    log_q = _row_values("log_q", dist.log_q(x), len(x))
     if np.any(np.isneginf(log_q)):
         raise UnsupportedSampleError("q has zero density at one of its own samples")
     images = _apply(op, x)
     if not np.isfinite(images).all():
         raise ValueError("operator produced a non-finite image")
-    return np.asarray(dist.log_p(images), dtype=np.float64) - log_q
+    return _row_values("log_p", dist.log_p(images), len(x)) - log_q
+
+
+def _row_values(name: str, values, k: int) -> np.ndarray:
+    """``values`` as float64, checked to hold one value per row of a k-row block
+    (a scalar would broadcast into every weight)."""
+    out = np.asarray(values, dtype=np.float64)
+    if out.shape != (k,):
+        raise ValueError(f"{name} must return one value per row, shape ({k},); got {out.shape}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +337,20 @@ def _chunk_rows(n: int) -> int:
     return min(16384, max(1, 2**18 // n))
 
 
-def _run_stream(weigh, n: int, width: int, config: EstimatorConfig, stream_id: int,
+def _run_stream(new_weigh, n: int, width: int, config: EstimatorConfig, stream_id: int,
                 per_stream: int):
     """Consume one substream of ``per_stream`` samples, ``width`` per weight: its
     accumulator, trace points (in samples) and log prefix sums of the weights there."""
+    rows = max(1, _chunk_rows(n) // width)
+    total = (per_stream + width - 1) // width
+    weigh = new_weigh(min(rows, total))  # owned by this stream for this call only
     rng = RngStream(config.seed, stream_id)
     acc = StreamingAccumulator()
     stride, is_last = config.trace_stride, stream_id == config.num_streams - 1
     points = _stride_points(stream_id, per_stream, stride, is_last) if stride else np.empty(0, int)
     ends = (points + width - 1) // width  # the weight each trace point falls in, 1-based
     values = np.empty(points.size)
-    rows, done, total = max(1, _chunk_rows(n) // width), 0, (per_stream + width - 1) // width
+    done = 0
     while done < total:
         k = min(rows, total - done)
         w = weigh(rng, k)
@@ -343,19 +365,21 @@ def _run_stream(weigh, n: int, width: int, config: EstimatorConfig, stream_id: i
     return acc, points, values
 
 
-def _run(weigh, n: int, config: EstimatorConfig, width: int = 1) -> EstimateResult:
+def _run(new_weigh, n: int, config: EstimatorConfig, width: int = 1) -> EstimateResult:
     """Fold ``weigh(rng, k)``, k log-weights each the mean over ``width`` samples,
-    until every stream has covered its share of ``config.num_samples``."""
+    until every stream has covered its share of ``config.num_samples``.  Each
+    stream gets its own ``weigh = new_weigh(rows)``, called with k <= rows, so
+    the blocks a ``weigh`` refills belong to one stream of one call."""
     per_stream = config.num_samples // config.num_streams
     weights = (per_stream + width - 1) // width  # folded by each stream
     ids = range(config.num_streams)
     if config.num_streams == 1:
-        results = [_run_stream(weigh, n, width, config, 0, per_stream)]
+        results = [_run_stream(new_weigh, n, width, config, 0, per_stream)]
     else:
         workers = min(config.num_streams, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(lambda j: _run_stream(weigh, n, width, config, j, per_stream), ids)
+                pool.map(lambda j: _run_stream(new_weigh, n, width, config, j, per_stream), ids)
             )
     # merge in stream-id order: reproducible regardless of worker scheduling;
     # stream j's trace offset is the log-total of the streams before it
@@ -398,10 +422,19 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
     orthogonal maps.
     """
 
-    def weigh(rng: RngStream, k: int):
-        return sphere_log_weights(op, sampling.gaussian_directions(rng, k, op.n))
+    def new_weigh(rows: int):
+        # this stream's g and Jg blocks, refilled in place by every chunk; one
+        # allocation, which glibc keeps in the heap between calls (as two
+        # blocks it handed them back to the OS, to be faulted in again)
+        g, jg = np.empty((2, rows, op.n))
 
-    return _run(weigh, op.n, config, width=2)
+        def weigh(rng: RngStream, k: int):
+            draw = sampling.gaussian_directions(rng, k, op.n, out=g[:k])
+            return sphere_log_weights(op, draw, jg=jg[:k])
+
+        return weigh
+
+    return _run(new_weigh, op.n, config, width=2)
 
 
 def inv_det_importance(
@@ -412,7 +445,7 @@ def inv_det_importance(
     def weigh(rng: RngStream, k: int):
         return importance_log_weights(op, dist, dist.q_sampler(rng, k))
 
-    return _run(weigh, op.n, config)
+    return _run(lambda rows: weigh, op.n, config)
 
 
 def det_via_inverse_solves(

@@ -53,24 +53,29 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def gaussian_matrix(rng: RngStream, k: int, n: int) -> np.ndarray:
-    """(k, n) block of iid standard normals.
+def gaussian_matrix(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """(k, n) block of iid standard normals, written into ``out`` when given.
 
     Row i equals the i-th of k consecutive one-row draws, so batched and
-    per-row callers consume the stream identically.
+    per-row callers consume the stream identically.  ``out`` must be a
+    C-contiguous float64 array of shape (k, n); filling it draws the same
+    bits as a fresh block.
     """
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 draws of positive dimension")
-    return rng.generator.standard_normal((k, n))
+    return rng.generator.standard_normal((k, n), out=out)
 
 
-def gaussian_directions(rng: RngStream, k: int, n: int) -> np.ndarray:
-    """(k, n) Gaussian block with no row shorter than 1e-150.
+def gaussian_directions(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = None
+                        ) -> np.ndarray:
+    """(k, n) Gaussian block with no row shorter than 1e-150, written into
+    ``out`` when given (see :func:`gaussian_matrix`).
 
     A shorter row (the ziggurat can return an exact 0.0, so at n = 1 a zero
     row is possible) is redrawn in place from the same stream.
     """
-    g = gaussian_matrix(rng, k, n)
+    g = gaussian_matrix(rng, k, n, out=out)
     sq = np.einsum("ij,ij->i", g, g)
     while (bad := np.flatnonzero(np.sqrt(sq) < _DEGENERATE_NORM)).size:
         for i in bad:

@@ -70,9 +70,9 @@ class StreamingAccumulator:
             raise ValueError("expected a 1-D array of log-weights")
         if lw.size == 0:
             return
-        if np.isnan(lw).any() or (lw == np.inf).any():
+        m = float(lw.max())  # NaN propagates through max: one pass checks both
+        if math.isnan(m) or m == math.inf:
             raise ValueError("log-weights must not contain NaN or +inf")
-        m = float(lw.max())
         if m == -math.inf:
             self.count += lw.size
             return

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from mpmath import mp
+from numpy.lib.array_utils import byte_bounds
 
+import detmc.estimators
 import detmc.sampling
 from detmc.ensembles import EnsembleSpec, generate
 from detmc.estimators import (
@@ -93,8 +95,8 @@ class TestSphereEstimator:
         real = detmc.sampling.gaussian_matrix
         calls = []
 
-        def zero_first_row_of_first_block(rng, k, n):
-            g = real(rng, k, n)
+        def zero_first_row_of_first_block(rng, k, n, **kwargs):
+            g = real(rng, k, n, **kwargs)
             if not calls:
                 g[0] = 0.0
             calls.append(k)
@@ -113,9 +115,9 @@ class TestSphereEstimator:
         real = detmc.sampling.gaussian_matrix
         drawn = {}
 
-        def counting(rng, k, n):
+        def counting(rng, k, n, **kwargs):
             drawn[rng.stream_id] = drawn.get(rng.stream_id, 0) + k
-            return real(rng, k, n)
+            return real(rng, k, n, **kwargs)
 
         monkeypatch.setattr(detmc.sampling, "gaussian_matrix", counting)
         m = well_conditioned(3, seed=2)
@@ -125,6 +127,54 @@ class TestSphereEstimator:
             arg = operator_from_matrix(m) if estimate is inv_det_sphere else m
             assert estimate(arg, cfg).n_samples == num_samples
             assert [drawn[j] for j in range(num_streams)] == rows
+
+    def test_each_stream_refills_two_read_only_blocks(self):
+        m = well_conditioned(10, seed=4).data
+        seen = []
+
+        def apply_batch(x):
+            seen.append((byte_bounds(x)[0], x.flags.writeable))
+            return x @ m.T
+
+        # four full chunks of _chunk_rows(10) directions and one of a single row
+        cfg = EstimatorConfig(4 * _chunk_rows(10) + 2, seed=5)
+        inv_det_sphere(MatrixFreeOperator(10, apply_batch), cfg)
+        assert len(seen) == 2 * 5  # g and Jg of every chunk
+        assert len({start for start, _ in seen}) <= 2
+        assert not any(writeable for _, writeable in seen)
+
+    @pytest.mark.parametrize("num_streams", [1, 2])
+    def test_each_chunk_calls_draw_and_kernel_once_positionally(self, monkeypatch, num_streams):
+        # bench/tracing.py wraps these two module attributes and sizes each call's
+        # work from its positional arguments alone: (rng, k, n) and (op, g)
+        real_draw, real_weigh = detmc.sampling.gaussian_matrix, detmc.estimators.sphere_log_weights
+        draws, weighs = [], []
+
+        def draw(*args, **kwargs):
+            draws.append(args)
+            return real_draw(*args, **kwargs)
+
+        def weigh(*args, **kwargs):
+            weighs.append(args)
+            return real_weigh(*args, **kwargs)
+
+        monkeypatch.setattr(detmc.sampling, "gaussian_matrix", draw)
+        monkeypatch.setattr(detmc.estimators, "sphere_log_weights", weigh)
+        rows, n = _chunk_rows(10) // 2, 10
+        # per stream: two full chunks and one of a single row
+        cfg = EstimatorConfig(num_streams * (4 * rows + 2), seed=6, num_streams=num_streams)
+        m = well_conditioned(n, seed=4)
+        for estimate, arg in ((inv_det_sphere, operator_from_matrix(m)),
+                              (det_via_inverse_solves, m)):
+            draws.clear()
+            weighs.clear()
+            estimate(arg, cfg)
+            want = sorted([rows, rows, 1] * num_streams)
+            assert len(draws) == len(weighs) == 3 * num_streams
+            assert all(len(a) == 3 and isinstance(a[0], RngStream) and a[2] == n for a in draws)
+            assert sorted(k for _, k, _ in draws) == want
+            assert all(len(a) == 2 and a[0].n == n for a in weighs)
+            assert sorted(len(g) for _, g in weighs) == want
 
     def test_perfectly_correlated_pairs_count_once(self):
         # for A = diag(d, d), J^T A^T A J = A^T A, so w(Jg) = w(g): the result is
@@ -594,6 +644,30 @@ class TestConfigAndTypes:
         op = MatrixFreeOperator(n=3, apply_batch=apply_batch)
         with pytest.raises(ValueError, match="non-finite image"):
             inv_det_importance(op, DistributionPair.gaussian_q(3, 1.0), EstimatorConfig(100))
+
+    @pytest.mark.parametrize("estimate", [
+        inv_det_sphere,
+        lambda op, cfg: inv_det_importance(op, DistributionPair.gaussian_q(op.n, 1.0), cfg),
+    ], ids=["sphere", "importance"])
+    def test_operator_writing_into_its_block_is_loud(self, estimate):
+        # the sphere kernel would build Jg from the scribbled g: log_mean -3.405 with
+        # std_error 0 against the exact -4 log 2
+        op = MatrixFreeOperator(4, lambda xs: np.multiply(xs, 2.0, out=xs))
+        with pytest.raises(ValueError, match="read-only"):
+            estimate(op, EstimatorConfig(1000, seed=0))
+
+    @pytest.mark.parametrize("which", ["log_p", "log_q"])
+    def test_scalar_log_density_is_loud(self, which):
+        # a scalar broadcasts into every weight: unchecked, this config gives log_mean
+        # -0.99 (block mean of log_q) or -1.95e5 (block sum of log_p), not -4 log 2
+        base = DistributionPair.gaussian_q(4, 2.0)
+        fields = dict(log_p=base.log_p, q_sampler=base.q_sampler, log_q=base.log_q)
+        scalar = {"log_p": lambda y: np.sum(base.log_p(y)),
+                  "log_q": lambda x: np.mean(base.log_q(x))}
+        fields[which] = scalar[which]
+        op = operator_from_matrix(DenseMatrix(2.0 * np.eye(4)))
+        with pytest.raises(ValueError, match=f"{which} must return one value per row"):
+            inv_det_importance(op, DistributionPair(**fields), EstimatorConfig(10_000, seed=0))
 
     def test_kernel_returning_too_few_weights_is_loud(self):
         base = DistributionPair.gaussian_q(2, 1.0)

@@ -151,8 +151,8 @@ def test_degenerate_row_is_redrawn_from_the_same_stream(monkeypatch):
     """A row shorter than 1e-150 becomes the next row of the same stream."""
     real = detmc.sampling.gaussian_matrix
 
-    def zero_row_1(rng, k, n):
-        g = real(rng, k, n)
+    def zero_row_1(rng, k, n, **kwargs):
+        g = real(rng, k, n, **kwargs)
         g[1] = 0.0
         return g
 
