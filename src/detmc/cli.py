@@ -199,6 +199,7 @@ def run_estimate(spec: RunSpec) -> int:
         f"oracle_log_abs_det: {_float17(oracle)}",
         f"abs_log_error_vs_oracle: {_float17(abs(result.log_mean - target_log))}",
         f"heavy_tail: {'true' if result.heavy_tail else 'false'}",
+        f"low_count: {'true' if result.low_count else 'false'}",
     ]
     print("\n".join(lines))
     return EXIT_OK

@@ -17,25 +17,30 @@ Applying the sphere formula to a solve-based operator (A maps to A^{-1})
 turns it into an estimator of |det A| itself; that is
 :func:`det_via_inverse_solves`.
 
-The sphere form gets two directions from each Gaussian row g: g and
-Jg = (g[h:], -g[:h]) with h = n // 2.  J is a fixed signed permutation, so
-it is orthogonal, Jg is standard normal too and each direction is exactly
-uniform on the sphere (for even n, g is orthogonal to Jg).  The kernel
-returns the log of the pair's mean weight and the driver folds it as one
-sample, so the standard error is computed over independent pairs whatever
-the correlation inside a pair.  ``num_samples`` still counts directions: a
-stream of d directions draws ceil(d / 2) rows, and for odd d it also
-weighs the partner of its last row.  The trace point at direction p of a
-stream is the running mean over the pairs of the earlier streams and the
-first ceil(p / 2) pairs of that stream, so the last point is ``log_mean``.
+The sphere form gets a frame of directions from each Gaussian row g: g and
+Jg = (g[h:], -g[:h]) with h = n // 2, and when 4 | n also Kg = (J_h g[:h],
+-J_h g[h:]) and JKg, where J_h is the same half-swap on h coordinates.  J
+and K are fixed signed permutations, so they are orthogonal, every image is
+standard normal and each direction is exactly uniform on the sphere.  J, K
+and JK are skew, so the four are pairwise orthogonal (for even n, g is
+orthogonal to Jg).  The frame width, 4 if 4 | n else 2, is a pure function
+of n: no linear frame of four exists for other n (Hurwitz-Radon).  The
+kernel returns the log of the frame's mean weight and the driver folds it
+as one sample, so the standard error is computed over independent frames
+whatever the correlation inside a frame.  ``num_samples`` still counts
+directions: a stream of d directions draws ceil(d / width) rows and weighs
+the whole frame of its last row, up to 3 directions more than d.  The
+trace point at direction p of a stream is the running mean over the frames
+of the earlier streams and the first ceil(p / width) frames of that
+stream, so the last point is ``log_mean``.
 
 Everything is accumulated in log domain: for even modest n the weights span
 ranges that overflow linear float64.  Reported standard errors come from the
 empirical second moment; for ill-conditioned matrices the weights can have
 infinite variance, in which case the standard error is advisory only.  The
 ``heavy_tail`` flag on the result is set when some folded log-weight exceeds
--n log(1e-150); for the sphere form it is judged on pair means, and a pair
-mean that high means some unit direction's image norm fell below 1e-150.
+-n log(1e-150); for the sphere form it is judged on frame means, and a
+frame mean that high means some unit direction's image norm fell below 1e-150.
 Confidence-interval-based checks in this package therefore stick to
 well-conditioned ensembles.
 
@@ -260,21 +265,55 @@ def _apply(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
     return images
 
 
+def _frame_width(n: int) -> int:
+    """Directions the sphere kernel weighs per Gaussian row: 4 when 4 | n, else 2.
+    No linear frame of four exists for other n (Hurwitz-Radon)."""
+    return 4 if n % 4 == 0 else 2
+
+
+def _swap_halves(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = Jx = (x[h:], -x[:h]) row-wise, with h half the row length."""
+    m = x.shape[1]
+    h = m // 2
+    out[:, : m - h] = x[:, h:]
+    np.negative(x[:, :h], out=out[:, m - h:])
+    return out
+
+
+def _log_mean_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log((exp(a) + exp(b)) / 2), exactly; np.logaddexp costs ~6x as much."""
+    hi = np.maximum(a, b)
+    return hi + np.log1p(np.exp(np.minimum(a, b) - hi)) - _LOG_2
+
+
 def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *,
                        jg: np.ndarray | None = None) -> np.ndarray:
-    """Per-row log of the pair mean (w(g) + w(Jg)) / 2 of the sphere weight
-    w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)), where
-    Jg = (g[h:], -g[:h]) with h = n // 2 is a fixed signed permutation of g.
-    Jg is written into ``jg`` when given, a block of g's shape."""
-    n, h = op.n, op.n // 2
-    log_r = _row_log_norms(g)  # ||Jg|| = ||g||: one norm serves both directions
-    a = -n * (_row_log_norms(_apply(op, g)) - log_r)
-    jg = np.empty_like(g) if jg is None else jg
-    jg[:, : n - h] = g[:, h:]
-    np.negative(g[:, :h], out=jg[:, n - h:])
-    b = -n * (_row_log_norms(_apply(op, jg)) - log_r)
-    hi = np.maximum(a, b)  # exact log-mean-exp; np.logaddexp costs ~6x as much
-    return hi + np.log1p(np.exp(np.minimum(a, b) - hi)) - _LOG_2
+    """Per-row log of the frame mean of the sphere weight
+    w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)).
+
+    The frame is g and its images under fixed signed permutations: Jg =
+    (g[h:], -g[:h]) with h = n // 2, and when 4 | n also Kg = (J_h g[:h],
+    -J_h g[h:]) and JKg, where J_h is the same half-swap on h coordinates.
+    The images are written into ``jg`` when given, a block of shape
+    (width - 1, k, n) for a (k, n) block g, width = 4 if 4 | n else 2.
+    """
+    n, width = op.n, _frame_width(op.n)
+    frame = np.empty((width - 1, *g.shape)) if jg is None else jg
+    log_r = _row_log_norms(g)  # the maps are orthogonal: one norm serves every direction
+
+    def log_w(x: np.ndarray) -> np.ndarray:
+        return -n * (_row_log_norms(_apply(op, x)) - log_r)
+
+    out = _log_mean_pair(log_w(g), log_w(_swap_halves(g, frame[0])))
+    if width == 4:
+        kg, h, q = frame[1], n // 2, n // 4
+        _swap_halves(g[:, :h], kg[:, :h])
+        # -J_h g[h:] = (-g[h + q:], g[h: h + q])
+        np.negative(g[:, h + q:], out=kg[:, h: h + q])
+        kg[:, h + q:] = g[:, h: h + q]
+        jkg = _swap_halves(kg, frame[2])
+        out = _log_mean_pair(out, _log_mean_pair(log_w(kg), log_w(jkg)))
+    return out
 
 
 def importance_log_weights(
@@ -417,24 +456,27 @@ def _run(new_weigh, n: int, config: EstimatorConfig, width: int = 1) -> Estimate
 def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateResult:
     """Estimate the reciprocal absolute determinant of the map ``op`` realizes.
 
-    Averages ||op(s)||^{-n} over uniform unit-sphere directions, two per
-    Gaussian draw (see the module docstring).  Unbiased; zero-variance on
-    orthogonal maps.
+    Averages ||op(s)||^{-n} over uniform unit-sphere directions, four per
+    Gaussian draw when 4 | n and two otherwise (see the module docstring).
+    Unbiased; zero-variance on orthogonal maps.
     """
+    width = _frame_width(op.n)
 
     def new_weigh(rows: int):
-        # this stream's g and Jg blocks, refilled in place by every chunk; one
-        # allocation, which glibc keeps in the heap between calls (as two
-        # blocks it handed them back to the OS, to be faulted in again)
-        g, jg = np.empty((2, rows, op.n))
+        # this stream's draw block and its frame images, refilled in place by
+        # every chunk; one allocation, which glibc keeps in the heap between
+        # calls (as separate blocks it handed them back to the OS, to be
+        # faulted in again)
+        blocks = np.empty((width, rows, op.n))
+        g, frame = blocks[0], blocks[1:]
 
         def weigh(rng: RngStream, k: int):
             draw = sampling.gaussian_directions(rng, k, op.n, out=g[:k])
-            return sphere_log_weights(op, draw, jg=jg[:k])
+            return sphere_log_weights(op, draw, jg=frame[:, :k])
 
         return weigh
 
-    return _run(new_weigh, op.n, config, width=2)
+    return _run(new_weigh, op.n, config, width=width)
 
 
 def inv_det_importance(

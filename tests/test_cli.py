@@ -42,6 +42,20 @@ class TestEstimate:
         assert float(s["std_error"]) == 0.0
         assert s["target"] == "inverse_abs_det"
         assert s["heavy_tail"] == "false"
+        assert s["low_count"] == "false"
+
+    @pytest.mark.parametrize("n, samples", [(3, 2), (4, 2), (4, 4)])
+    def test_single_folded_weight_is_low_count(self, capsys, n, samples):
+        # one pair (n = 3) or one frame of four (4 | n) folds a single weight:
+        # its std_error of 0 says nothing about the spread, so the flag is printed
+        code = run_cli(
+            "estimate", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--n", str(n), "--samples", str(samples), "--seed", "1",
+        )
+        assert code == 0
+        s = parse_summary(capsys.readouterr().out)
+        assert float(s["std_error"]) == 0.0
+        assert s["low_count"] == "true"
 
     def test_orthogonal_inverse_solve(self, capsys):
         code = run_cli(

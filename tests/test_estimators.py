@@ -19,6 +19,7 @@ from detmc.estimators import (
     SingularDirectionError,
     UnsupportedSampleError,
     _chunk_rows,
+    _frame_width,
     _stride_points,
     default_trace_stride,
     det_via_inverse_solves,
@@ -109,7 +110,10 @@ class TestSphereEstimator:
         assert r.std_error == 0.0
 
     @pytest.mark.parametrize(
-        "num_samples, num_streams, rows", [(10, 1, [5]), (11, 1, [6]), (10, 2, [3, 3])]
+        "num_samples, num_streams, rows",
+        # rows drawn per stream at n = 3 (pairs) and at n = 4 and 8 (frames of four)
+        [(10, 1, {3: [5], 4: [3], 8: [3]}), (11, 1, {3: [6], 4: [3], 8: [3]}),
+         (10, 2, {3: [3, 3], 4: [2, 2], 8: [2, 2]})],
     )
     def test_two_directions_per_drawn_row(self, monkeypatch, num_samples, num_streams, rows):
         real = detmc.sampling.gaussian_matrix
@@ -120,31 +124,56 @@ class TestSphereEstimator:
             return real(rng, k, n, **kwargs)
 
         monkeypatch.setattr(detmc.sampling, "gaussian_matrix", counting)
-        m = well_conditioned(3, seed=2)
         cfg = EstimatorConfig(num_samples, seed=1, num_streams=num_streams)
-        for estimate in (inv_det_sphere, det_via_inverse_solves):
-            drawn.clear()
-            arg = operator_from_matrix(m) if estimate is inv_det_sphere else m
-            assert estimate(arg, cfg).n_samples == num_samples
-            assert [drawn[j] for j in range(num_streams)] == rows
+        for n, want in rows.items():
+            m = well_conditioned(n, seed=2)
+            for estimate in (inv_det_sphere, det_via_inverse_solves):
+                drawn.clear()
+                arg = operator_from_matrix(m) if estimate is inv_det_sphere else m
+                assert estimate(arg, cfg).n_samples == num_samples
+                assert [drawn[j] for j in range(num_streams)] == want, n
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 400])
+    def test_frame_of_four_is_orthogonal_signed_permutations(self, n):
+        identity = MatrixFreeOperator(n, lambda x: x.copy())
+        frame = np.empty((3, n, n))
+        # row j of frame[i] is the image of e_j, so frame[i] is the map's transpose
+        assert np.all(sphere_log_weights(identity, np.eye(n), jg=frame) == 0.0)
+        for q in frame:
+            assert set(np.unique(q)) <= {-1.0, 0.0, 1.0}
+            assert np.all(np.abs(q).sum(axis=0) == 1) and np.all(np.abs(q).sum(axis=1) == 1)
+            np.testing.assert_array_equal(q.T, -q)  # skew: each image is orthogonal to g
+        g, frame = gaussian_matrix(RngStream(8, 0), 64, n), np.empty((3, 64, n))
+        sphere_log_weights(identity, g, jg=frame)
+        images = np.concatenate([g[None], frame])
+        gram = np.einsum("aki,bki->kab", images, images)
+        sq = np.einsum("ki,ki->k", g, g)
+        off = gram - sq[:, None, None] * np.eye(4)
+        assert np.all(np.abs(off) <= 1e-12 * sq[:, None, None])
 
     def test_each_stream_refills_two_read_only_blocks(self):
-        m = well_conditioned(10, seed=4).data
-        seen = []
+        # pairs at n = 10, frames of four at n = 8
+        for n, width in ((10, 2), (8, 4)):
+            m = well_conditioned(n, seed=4).data
+            seen = []
 
-        def apply_batch(x):
-            seen.append((byte_bounds(x)[0], x.flags.writeable))
-            return x @ m.T
+            def apply_batch(x):
+                seen.append((byte_bounds(x)[0], x.flags.writeable))
+                return x @ m.T
 
-        # four full chunks of _chunk_rows(10) directions and one of a single row
-        cfg = EstimatorConfig(4 * _chunk_rows(10) + 2, seed=5)
-        inv_det_sphere(MatrixFreeOperator(10, apply_batch), cfg)
-        assert len(seen) == 2 * 5  # g and Jg of every chunk
-        assert len({start for start, _ in seen}) <= 2
-        assert not any(writeable for _, writeable in seen)
+            # four full chunks of _chunk_rows(n) directions and one of a single row
+            cfg = EstimatorConfig(4 * _chunk_rows(n) + 2, seed=5)
+            inv_det_sphere(MatrixFreeOperator(n, apply_batch), cfg)
+            assert len(seen) == width * 5  # every direction block of every chunk
+            assert len({start for start, _ in seen}) <= width
+            assert not any(writeable for _, writeable in seen)
 
-    @pytest.mark.parametrize("num_streams", [1, 2])
-    def test_each_chunk_calls_draw_and_kernel_once_positionally(self, monkeypatch, num_streams):
+    @pytest.mark.parametrize("n, num_streams", [pytest.param(10, 1, id="1"),
+                                                pytest.param(10, 2, id="2"),
+                                                pytest.param(8, 1, id="n8-1"),
+                                                pytest.param(8, 2, id="n8-2")])
+    def test_each_chunk_calls_draw_and_kernel_once_positionally(self, monkeypatch, n,
+                                                                num_streams):
         # bench/tracing.py wraps these two module attributes and sizes each call's
         # work from its positional arguments alone: (rng, k, n) and (op, g)
         real_draw, real_weigh = detmc.sampling.gaussian_matrix, detmc.estimators.sphere_log_weights
@@ -160,9 +189,11 @@ class TestSphereEstimator:
 
         monkeypatch.setattr(detmc.sampling, "gaussian_matrix", draw)
         monkeypatch.setattr(detmc.estimators, "sphere_log_weights", weigh)
-        rows, n = _chunk_rows(10) // 2, 10
+        width = _frame_width(n)
+        rows = _chunk_rows(n) // width
         # per stream: two full chunks and one of a single row
-        cfg = EstimatorConfig(num_streams * (4 * rows + 2), seed=6, num_streams=num_streams)
+        cfg = EstimatorConfig(num_streams * (width * (2 * rows + 1)), seed=6,
+                              num_streams=num_streams)
         m = well_conditioned(n, seed=4)
         for estimate, arg in ((inv_det_sphere, operator_from_matrix(m)),
                               (det_via_inverse_solves, m)):
@@ -177,15 +208,27 @@ class TestSphereEstimator:
             assert sorted(len(g) for _, g in weighs) == want
 
     def test_perfectly_correlated_pairs_count_once(self):
-        # for A = diag(d, d), J^T A^T A J = A^T A, so w(Jg) = w(g): the result is
-        # the mean and standard error of the ceil(N / 2) directions g alone
-        m = DenseMatrix(np.diag([0.7, 1.3, 0.7, 1.3]))
-        r = inv_det_sphere(operator_from_matrix(m), EstimatorConfig(4001, seed=7))
-        g = gaussian_directions(RngStream(7, 0), 2001, 4)
-        w = -4 * (np.log(np.linalg.norm(g @ m.data.T, axis=1)) - np.log(np.linalg.norm(g, axis=1)))
-        log_mean, std_error = streaming_log_mean(w)
-        assert r.log_mean == pytest.approx(log_mean, rel=1e-12)
-        assert r.std_error == pytest.approx(std_error, rel=1e-9)
+        # for A = diag(d, d), J^T A^T A J = A^T A, so w(Jg) = w(g) at n = 6
+        assert_frames_count_once([0.7, 1.3, 0.9] * 2)
+
+    def test_perfectly_correlated_fours_count_once(self):
+        # A = diag(d, d, d, d) is also invariant under K: all four images of g
+        # weigh the same at n = 8
+        assert_frames_count_once([0.7, 1.3] * 4)
+
+
+def assert_frames_count_once(diag):
+    """The sphere estimate on diag(diag), whose frames weigh the same in every
+    direction, is the mean and standard error of the 2001 drawn directions g alone."""
+    m, n = DenseMatrix(np.diag(diag)), len(diag)
+    width = _frame_width(n)
+    cfg = EstimatorConfig(width * 2001 - (width - 1), seed=7)
+    r = inv_det_sphere(operator_from_matrix(m), cfg)
+    g = gaussian_directions(RngStream(7, 0), 2001, n)
+    w = -n * (np.log(np.linalg.norm(g @ m.data.T, axis=1)) - np.log(np.linalg.norm(g, axis=1)))
+    log_mean, std_error = streaming_log_mean(w)
+    assert r.log_mean == pytest.approx(log_mean, rel=1e-12)
+    assert r.std_error == pytest.approx(std_error, rel=1e-9)
 
 
 class TestInverseSolveEstimator:
@@ -362,21 +405,26 @@ class TestInvariants:
     @pytest.mark.parametrize(
         "matrix, inverse",
         [
-            (DenseMatrix(np.diag([0.7, 1.3, 0.7, 1.3])), False),
-            (DenseMatrix(np.diag([0.7, 1.3, 0.7, 1.3])), True),
+            (DenseMatrix(np.diag([0.7, 1.3, 0.9] * 2)), False),
+            (DenseMatrix(np.diag([0.7, 1.3, 0.9] * 2)), True),
             (well_conditioned(10, seed=5, cond=1.5), False),
             (well_conditioned(10, seed=5, cond=1.5), True),
+            (DenseMatrix(np.diag([0.7, 1.3] * 4)), False),
+            (DenseMatrix(np.diag([0.7, 1.3] * 4)), True),
         ],
-        ids=["perfect_pairs", "perfect_pairs_inverse", "ill_conditioned", "inverse_solve"],
+        ids=["perfect_pairs", "perfect_pairs_inverse", "ill_conditioned", "inverse_solve",
+             "perfect_fours", "perfect_fours_inverse"],
     )
     def test_std_error_is_calibrated_over_seeds(self, matrix, inverse):
         """z = (mean - target) / std_error over 200 seeds has sd near 1, also when
-        both directions of every pair weigh the same (perfect_pairs): counting the
-        pairs' 2 x 2001 directions as independent would give sd near 1.41."""
+        every direction of a frame weighs the same: counting the 2 x 2001 directions
+        of perfect_pairs (n = 6) as independent would give sd near 1.41, and the
+        2 x 4002 of perfect_fours (n = 8) sd near 2."""
         log_det = oracle_log_det(matrix)
         z = []
         for seed in range(200):
-            cfg = EstimatorConfig(4002, seed=seed, num_streams=2)
+            # each stream folds 1001 frames, whatever the frame width
+            cfg = EstimatorConfig(2001 * _frame_width(matrix.n), seed=seed, num_streams=2)
             if inverse:
                 r, target = det_via_inverse_solves(matrix, cfg), math.exp(log_det)
             else:
@@ -409,16 +457,17 @@ class TestStreams:
                                "-0x1.b2c08857319b0p+2")),
             ("sphere", 10, 2, ("-0x1.c4f54155a9060p+2", "0x1.1b25657348e5cp-13",
                                "-0x1.c4f54155a905fp+2")),
-            ("sphere", 16, 1, ("-0x1.2154362632100p+4", "0x1.2075eaee3f10dp-28",
-                               "-0x1.2154362632100p+4")),
-            ("sphere", 16, 2, ("-0x1.131eec637a39ap+4", "0x1.56382da9c1983p-26",
-                               "-0x1.131eec637a39ap+4")),
+            ("sphere", 16, 1, ("-0x1.25ec296ed1ca4p+4", "0x1.870943ce17353p-30",
+                               "-0x1.25ec296ed1ca4p+4")),
+            ("sphere", 16, 2, ("-0x1.22fe5fe990aa2p+4", "0x1.832006dd3e5a2p-29",
+                               "-0x1.22fe5fe990aa2p+4")),
             ("importance", 10, 2, ("-0x1.a6b015fd0bd8ap+2", "0x1.21711dddc6fc0p-11",
                                    "-0x1.a6b015fd0bd8ap+2")),
         ],
     )
     def test_seeded_bits_pinned_up_to_n_16(self, estimator, n, num_streams, want):
-        # n <= 16 keeps 16384-sample chunks: these bits must never move
+        # n <= 16 keeps 16384-sample chunks: these bits move only with a release
+        # note (n = 16 moved when 4 | n took frames of four; n = 10 guards pairs)
         op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=1)))
         cfg = EstimatorConfig(40_000, seed=3, num_streams=num_streams, trace_stride=997)
         if estimator == "sphere":
@@ -451,19 +500,19 @@ class TestStreams:
         op = operator_from_matrix(m)
         cfg = EstimatorConfig(num_samples, seed=4, num_streams=num_streams, trace_stride=stride)
         r = inv_det_sphere(op, cfg)
-        per_stream = num_samples // num_streams
-        pairs = -(-per_stream // 2)
+        per_stream, width = num_samples // num_streams, _frame_width(n)
+        frames = -(-per_stream // width)
         w = np.concatenate([
             sphere_log_weights(op, gaussian_directions(rng, k, n))
-            for rng, k in chunked_streams(cfg.seed, num_streams, per_stream, n, width=2)
+            for rng, k in chunked_streams(cfg.seed, num_streams, per_stream, n, width=width)
         ])
         want = running_log_means(w)
         grid = list(range(stride, num_samples + 1, stride))
         assert [i for i, _ in r.trace] == grid + [num_samples] * (grid[-1] != num_samples)
         for index, running in r.trace:
-            # direction q (0-based) of stream j closes pair q // 2 of that stream
+            # direction q (0-based) of stream j closes frame q // width of that stream
             j, q = divmod(index - 1, per_stream)
-            assert running == pytest.approx(want[j * pairs + q // 2], rel=1e-12)
+            assert running == pytest.approx(want[j * frames + q // width], rel=1e-12)
         assert r.trace[-1][1] == pytest.approx(r.log_mean, rel=1e-12)
 
     def test_trace_with_zero_weights(self):
