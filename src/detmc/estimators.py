@@ -17,21 +17,20 @@ Applying the sphere formula to a solve-based operator (A maps to A^{-1})
 turns it into an estimator of |det A| itself; that is
 :func:`det_via_inverse_solves`.
 
-The sphere form gets a frame of directions from each Gaussian row g: g and
-Jg = (g[h:], -g[:h]) with h = n // 2, and when 4 | n also Kg = (J_h g[:h],
--J_h g[h:]) and JKg, where J_h is the same half-swap on h coordinates.  J
-and K are fixed signed permutations, so they are orthogonal, every image is
-standard normal and each direction is exactly uniform on the sphere.  J, K
-and JK are skew, so the four are pairwise orthogonal (for even n, g is
-orthogonal to Jg).  The frame width, 4 if 4 | n else 2, is a pure function
-of n: no linear frame of four exists for other n (Hurwitz-Radon).  The
-kernel returns the log of the frame's mean weight and the driver folds it
-as one sample, so the standard error is computed over independent frames
-whatever the correlation inside a frame.  ``num_samples`` still counts
-directions: a stream of d directions draws ceil(d / width) rows and weighs
-the whole frame of its last row, up to 3 directions more than d.  The
-trace point at direction p of a stream is the running mean over the frames
-of the earlier streams and the first ceil(p / width) frames of that
+The sphere form gets a frame of four directions from each Gaussian row g: g,
+Jg = (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]), the same
+half-swap applied to each half, and JKg.  J and K are fixed signed
+permutations, so every image is standard normal and each direction is
+exactly uniform on the sphere, which is all unbiasedness needs.  When
+4 | n, J, K and JK are also skew, so the four directions are pairwise
+orthogonal; at other n they are not, which only changes the variance.
+The kernel returns the log of the frame's mean weight and the driver folds
+it as one sample, so the standard error is computed over independent
+frames whatever the correlation inside a frame.  ``num_samples`` still
+counts directions: a stream of d directions draws ceil(d / 4) rows and
+weighs the whole frame of its last row, up to 3 directions more than d.
+The trace point at direction p of a stream is the running mean over the
+frames of the earlier streams and the first ceil(p / 4) frames of that
 stream, so the last point is ``log_mean``.
 
 Everything is accumulated in log domain: for even modest n the weights span
@@ -91,6 +90,9 @@ _LOG_HEAVY_TAIL = math.log(1e-150)
 _TINY_NORMAL = float(np.finfo(np.float64).tiny)
 
 _LOG_2 = math.log(2.0)
+
+# directions the sphere kernel weighs per Gaussian row: g, Jg, Kg and JKg
+_FRAME_WIDTH = 4
 
 
 class SingularDirectionError(RuntimeError):
@@ -233,14 +235,18 @@ class DistributionPair:
 # weight kernels
 
 
-def _row_log_norms(images: np.ndarray) -> np.ndarray:
-    """log of each row's Euclidean norm, robust to under/overflowing squares."""
-    sq = np.einsum("ij,ij->i", images, images)
-    with np.errstate(divide="ignore"):
-        out = 0.5 * np.log(sq)
+def _row_log_norms(images: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
+    """log of each row's Euclidean norm, robust to under/overflowing squares;
+    ``sq``, the rows' squared norms if already known, is overwritten by it."""
+    if sq is None:
+        sq = np.einsum("ij,ij->i", images, images)
     # rows whose squared norm left the normal float64 range (underflow to a
     # low-precision subnormal or zero, overflow to inf) get a scaled recompute
-    for i in np.flatnonzero(~np.isfinite(out) | (sq < _TINY_NORMAL)):
+    redo = np.flatnonzero(~np.isfinite(sq) | (sq < _TINY_NORMAL))
+    with np.errstate(divide="ignore"):
+        out = np.log(sq, out=sq)
+    out *= 0.5
+    for i in redo:
         m = float(np.max(np.abs(images[i])))
         if m == 0.0:
             raise SingularDirectionError(
@@ -265,12 +271,6 @@ def _apply(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
     return images
 
 
-def _frame_width(n: int) -> int:
-    """Directions the sphere kernel weighs per Gaussian row: 4 when 4 | n, else 2.
-    No linear frame of four exists for other n (Hurwitz-Radon)."""
-    return 4 if n % 4 == 0 else 2
-
-
 def _swap_halves(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out`` = Jx = (x[h:], -x[:h]) row-wise, with h half the row length."""
     m = x.shape[1]
@@ -286,34 +286,33 @@ def _log_mean_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return hi + np.log1p(np.exp(np.minimum(a, b) - hi)) - _LOG_2
 
 
-def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *,
-                       jg: np.ndarray | None = None) -> np.ndarray:
+def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, jg: np.ndarray | None = None,
+                       sq: np.ndarray | None = None) -> np.ndarray:
     """Per-row log of the frame mean of the sphere weight
     w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)).
 
     The frame is g and its images under fixed signed permutations: Jg =
-    (g[h:], -g[:h]) with h = n // 2, and when 4 | n also Kg = (J_h g[:h],
-    -J_h g[h:]) and JKg, where J_h is the same half-swap on h coordinates.
-    The images are written into ``jg`` when given, a block of shape
-    (width - 1, k, n) for a (k, n) block g, width = 4 if 4 | n else 2.
+    (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]) and JKg.
+    The images are written into ``jg`` when given, a (3, k, n) block for a
+    (k, n) block g; ``sq``, g's squared row norms if known, is overwritten.
     """
-    n, width = op.n, _frame_width(op.n)
-    frame = np.empty((width - 1, *g.shape)) if jg is None else jg
-    log_r = _row_log_norms(g)  # the maps are orthogonal: one norm serves every direction
+    n, h = op.n, op.n // 2
+    q = (n - h) // 2  # half the length of g[h:]
+    frame = np.empty((_FRAME_WIDTH - 1, *g.shape)) if jg is None else jg
+    log_r = _row_log_norms(g, sq)  # the maps are orthogonal: one norm serves every direction
 
     def log_w(x: np.ndarray) -> np.ndarray:
         return -n * (_row_log_norms(_apply(op, x)) - log_r)
 
-    out = _log_mean_pair(log_w(g), log_w(_swap_halves(g, frame[0])))
-    if width == 4:
-        kg, h, q = frame[1], n // 2, n // 4
-        _swap_halves(g[:, :h], kg[:, :h])
-        # -J_h g[h:] = (-g[h + q:], g[h: h + q])
-        np.negative(g[:, h + q:], out=kg[:, h: h + q])
-        kg[:, h + q:] = g[:, h: h + q]
-        jkg = _swap_halves(kg, frame[2])
-        out = _log_mean_pair(out, _log_mean_pair(log_w(kg), log_w(jkg)))
-    return out
+    _swap_halves(g, frame[0])
+    kg = frame[1]
+    _swap_halves(g[:, :h], kg[:, :h])
+    # -J g[h:] = (-g[h + q:], g[h: h + q])
+    np.negative(g[:, h + q:], out=kg[:, h: n - q])
+    kg[:, n - q:] = g[:, h: h + q]
+    _swap_halves(kg, frame[2])
+    w_g, w_jg, w_kg, w_jkg = (log_w(x) for x in (g, *frame))
+    return _log_mean_pair(_log_mean_pair(w_g, w_jg), _log_mean_pair(w_kg, w_jkg))
 
 
 def importance_log_weights(
@@ -457,26 +456,24 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
     """Estimate the reciprocal absolute determinant of the map ``op`` realizes.
 
     Averages ||op(s)||^{-n} over uniform unit-sphere directions, four per
-    Gaussian draw when 4 | n and two otherwise (see the module docstring).
-    Unbiased; zero-variance on orthogonal maps.
+    Gaussian draw (see the module docstring).  Unbiased; zero-variance on
+    orthogonal maps.
     """
-    width = _frame_width(op.n)
 
     def new_weigh(rows: int):
-        # this stream's draw block and its frame images, refilled in place by
-        # every chunk; one allocation, which glibc keeps in the heap between
-        # calls (as separate blocks it handed them back to the OS, to be
-        # faulted in again)
-        blocks = np.empty((width, rows, op.n))
-        g, frame = blocks[0], blocks[1:]
+        # this stream's draw, frame images and squared norms, refilled by every
+        # chunk; the blocks are one allocation, which glibc keeps in the heap
+        # between calls (as separate blocks it handed them back to the OS)
+        blocks = np.empty((_FRAME_WIDTH, rows, op.n))
+        g, frame, sq = blocks[0], blocks[1:], np.empty(rows)
 
         def weigh(rng: RngStream, k: int):
-            draw = sampling.gaussian_directions(rng, k, op.n, out=g[:k])
-            return sphere_log_weights(op, draw, jg=frame[:, :k])
+            draw = sampling.gaussian_directions(rng, k, op.n, out=g[:k], sq=sq[:k])
+            return sphere_log_weights(op, draw, jg=frame[:, :k], sq=sq[:k])
 
         return weigh
 
-    return _run(new_weigh, op.n, config, width=width)
+    return _run(new_weigh, op.n, config, width=_FRAME_WIDTH)
 
 
 def inv_det_importance(

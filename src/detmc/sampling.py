@@ -67,16 +67,17 @@ def gaussian_matrix(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = 
     return rng.generator.standard_normal((k, n), out=out)
 
 
-def gaussian_directions(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = None
-                        ) -> np.ndarray:
+def gaussian_directions(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = None,
+                        sq: np.ndarray | None = None) -> np.ndarray:
     """(k, n) Gaussian block with no row shorter than 1e-150, written into
-    ``out`` when given (see :func:`gaussian_matrix`).
+    ``out`` when given (see :func:`gaussian_matrix`); the rows' squared norms
+    are written into ``sq``, a (k,) float64 array, when given.
 
     A shorter row (the ziggurat can return an exact 0.0, so at n = 1 a zero
     row is possible) is redrawn in place from the same stream.
     """
     g = gaussian_matrix(rng, k, n, out=out)
-    sq = np.einsum("ij,ij->i", g, g)
+    sq = np.einsum("ij,ij->i", g, g, out=sq)
     while (bad := np.flatnonzero(np.sqrt(sq) < _DEGENERATE_NORM)).size:
         for i in bad:
             g[i] = rng.generator.standard_normal(n)

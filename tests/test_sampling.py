@@ -157,10 +157,13 @@ def test_degenerate_row_is_redrawn_from_the_same_stream(monkeypatch):
         return g
 
     monkeypatch.setattr(detmc.sampling, "gaussian_matrix", zero_row_1)
-    got = gaussian_directions(RngStream(12, 0), 3, 4)
+    sq = np.empty(3)
+    got = gaussian_directions(RngStream(12, 0), 3, 4, sq=sq)
     want = real(RngStream(12, 0), 4, 4)
     np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
     np.testing.assert_array_equal(got[1], want[3])
+    # the squared norms handed out are those of the redrawn block, to the bit
+    np.testing.assert_array_equal(sq, np.einsum("ij,ij->i", got, got))
 
 
 def test_negative_seed_rejected():
