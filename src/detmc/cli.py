@@ -10,21 +10,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from .ensembles import KINDS, EnsembleSpec, InvalidEnsembleError, generate
 from .estimators import (
-    DistributionPair,
     EstimatorConfig,
     default_trace_stride,
     det_via_inverse_solves,
-    inv_det_importance,
     inv_det_sphere,
     operator_from_matrix,
 )
 from .linalg import (
-    DenseMatrix,
-    LUFactorization,
     MatrixFormatError,
     SingularMatrixError,
     load_matrix,
@@ -32,34 +27,15 @@ from .linalg import (
     lu_factorize,
 )
 
-__all__ = ["main", "RunSpec", "run_estimate", "run_convergence"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_SINGULAR = 3
 EXIT_USAGE = 64
 
-ESTIMATOR_NAMES = ("sphere_invdet", "inverse_solve_det", "importance_invdet")
-
-# estimators whose target is |det A| rather than its reciprocal
-_TARGETS_DET = frozenset({"inverse_solve_det"})
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One fully-resolved CLI invocation."""
-
-    command: str
-    estimator: str = "sphere_invdet"
-    matrix_path: str | None = None
-    ensemble: EnsembleSpec | None = None
-    samples: int = 1000
-    seed: int = 0
-    streams: int = 1
-    trace_stride: int = 0
-    out: str | None = None
-    q_var: float = 1.0
-
+# sphere_invdet targets 1/|det A|, inverse_solve_det |det A|
+ESTIMATOR_NAMES = ("sphere_invdet", "inverse_solve_det")
 
 class _UsageError(Exception):
     pass
@@ -77,6 +53,13 @@ def _float17(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _exp17(log_x: float) -> str:
+    try:
+        return _float17(math.exp(log_x))
+    except OverflowError:
+        return "overflow"
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--estimator", required=True, choices=ESTIMATOR_NAMES)
     p.add_argument("--matrix", help="path to a plain-text matrix file")
@@ -88,8 +71,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--streams", type=int, default=1)
-    p.add_argument("--q-var", type=float, default=1.0, dest="q_var",
-                   help="variance of the isotropic Gaussian q (importance_invdet only)")
 
 
 def _build_parser() -> _Parser:
@@ -106,8 +87,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Usage errors that need no matrix, raised before any file is read."""
+    if args.seed < 0:
+        raise _UsageError("--seed must be non-negative")
+    if (args.matrix is None) == (args.ensemble is None):
+        raise _UsageError("exactly one of --matrix and --ensemble is required")
+    if args.matrix is not None:
+        for flag in ("n", "scale", "cond", "diag"):
+            if getattr(args, flag) is not None:
+                raise _UsageError(f"--{flag} is an --ensemble flag; it does not apply to --matrix")
+    if args.samples < 1:
+        raise _UsageError("--samples must be positive")
+    if args.streams < 1:
+        raise _UsageError("--streams must be positive")
+    if args.samples % args.streams != 0:
+        raise _UsageError("--samples must be divisible by --streams")
+    if getattr(args, "trace_stride", 0) < 0:
+        raise _UsageError("--trace-stride must be non-negative")
+
+
 def _resolve_ensemble(args) -> EnsembleSpec:
-    kind = args.ensemble
     diag = None
     if args.diag is not None:
         try:
@@ -120,81 +120,40 @@ def _resolve_ensemble(args) -> EnsembleSpec:
     if n is None:
         raise _UsageError("--ensemble requires --n (or --diag for the diagonal kind)")
     try:
-        return EnsembleSpec(kind=kind, n=n, seed=args.seed, scale=args.scale, diag=diag, cond=args.cond)
+        return EnsembleSpec(
+            kind=args.ensemble, n=n, seed=args.seed, scale=args.scale, diag=diag, cond=args.cond
+        )
     except InvalidEnsembleError as exc:
         raise _UsageError(str(exc))
 
 
-def _spec_from_args(args) -> RunSpec:
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
-    if (args.matrix is None) == (args.ensemble is None):
-        raise _UsageError("exactly one of --matrix and --ensemble is required")
-    if args.samples < 1:
-        raise _UsageError("--samples must be positive")
-    if args.streams < 1:
-        raise _UsageError("--streams must be positive")
-    if args.samples % args.streams != 0:
-        raise _UsageError("--samples must be divisible by --streams")
-    trace_stride = getattr(args, "trace_stride", 0)
-    if trace_stride < 0:
-        raise _UsageError("--trace-stride must be non-negative")
-    if not (args.q_var > 0.0 and math.isfinite(args.q_var)):
-        raise _UsageError("--q-var must be positive and finite")
-    return RunSpec(
-        command=args.command,
-        estimator=args.estimator,
-        matrix_path=args.matrix,
-        ensemble=_resolve_ensemble(args) if args.ensemble else None,
-        samples=args.samples,
-        seed=args.seed,
-        streams=args.streams,
-        trace_stride=trace_stride,
-        out=getattr(args, "out", None),
-        q_var=args.q_var,
-    )
-
-
-def _load_or_generate(spec: RunSpec) -> DenseMatrix:
-    if spec.matrix_path is not None:
-        return load_matrix(spec.matrix_path)
-    return generate(spec.ensemble)
-
-
-def _run_estimator(spec: RunSpec, matrix: DenseMatrix, f: LUFactorization, trace_stride: int):
-    config = EstimatorConfig(
-        num_samples=spec.samples,
-        seed=spec.seed,
-        num_streams=spec.streams,
-        trace_stride=trace_stride,
-    )
-    if spec.estimator == "inverse_solve_det":
-        return det_via_inverse_solves(f, config)
-    op = operator_from_matrix(matrix)
-    if spec.estimator == "sphere_invdet":
-        return inv_det_sphere(op, config)
-    if spec.estimator == "importance_invdet":
-        return inv_det_importance(op, DistributionPair.gaussian_q(matrix.n, spec.q_var), config)
-    raise _UsageError(f"unknown estimator {spec.estimator!r}")
-
-
-def run_estimate(spec: RunSpec) -> int:
-    matrix = _load_or_generate(spec)
+def _run(args, trace_stride: int):
+    """Build or load the matrix, factorise it once for both the oracle and
+    ``inverse_solve_det``, and run the estimator: (matrix, oracle, result)."""
+    if args.matrix is not None:
+        matrix = load_matrix(args.matrix)
+    else:
+        matrix = generate(_resolve_ensemble(args))
     f = lu_factorize(matrix)
-    oracle = log_abs_det(f)
-    result = _run_estimator(spec, matrix, f, 0)
-    target_log = oracle if spec.estimator in _TARGETS_DET else -oracle
-    try:
-        estimate = _float17(math.exp(result.log_mean))
-    except OverflowError:
-        estimate = "overflow"
+    config = EstimatorConfig(args.samples, args.seed, args.streams, trace_stride)
+    if args.estimator == "inverse_solve_det":
+        result = det_via_inverse_solves(f, config)
+    else:
+        result = inv_det_sphere(operator_from_matrix(matrix), config)
+    return matrix, log_abs_det(f), result
+
+
+def _estimate(args) -> int:
+    matrix, oracle, result = _run(args, 0)
+    targets_det = args.estimator == "inverse_solve_det"
+    target_log = oracle if targets_det else -oracle
     lines = [
-        f"estimator: {spec.estimator}",
-        f"target: {'abs_det' if spec.estimator in _TARGETS_DET else 'inverse_abs_det'}",
+        f"estimator: {args.estimator}",
+        f"target: {'abs_det' if targets_det else 'inverse_abs_det'}",
         f"n: {matrix.n}",
         f"samples: {result.n_samples}",
         f"log_estimate: {_float17(result.log_mean)}",
-        f"estimate: {estimate}",
+        f"estimate: {_exp17(result.log_mean)}",
         f"std_error: {_float17(result.std_error)}",
         f"oracle_log_abs_det: {_float17(oracle)}",
         f"abs_log_error_vs_oracle: {_float17(abs(result.log_mean - target_log))}",
@@ -205,49 +164,36 @@ def run_estimate(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def run_convergence(spec: RunSpec) -> int:
-    matrix = _load_or_generate(spec)
-    f = lu_factorize(matrix)
-    oracle = log_abs_det(f)
-    stride = spec.trace_stride or default_trace_stride(spec.samples)
-    result = _run_estimator(spec, matrix, f, stride)
+def _convergence(args) -> int:
+    _, oracle, result = _run(args, args.trace_stride or default_trace_stride(args.samples))
     oracle_txt = _float17(oracle)
     rows = ["sample_index,running_log_estimate,running_estimate,oracle_log_abs_det"]
     for index, running_log in result.trace:
-        try:
-            running = _float17(math.exp(running_log))
-        except OverflowError:
-            running = "overflow"
-        rows.append(f"{index},{_float17(running_log)},{running},{oracle_txt}")
-    with open(spec.out, "w", encoding="ascii", newline="\n") as fh:
+        rows.append(f"{index},{_float17(running_log)},{_exp17(running_log)},{oracle_txt}")
+    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        spec = _spec_from_args(args)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse --help or flag error
         return int(exc.code or 0)
+    try:
+        _check_args(args)
+        if args.command == "estimate":
+            return _estimate(args)
+        return _convergence(args)
     except _UsageError as exc:
         print(f"detmc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    try:
-        if spec.command == "estimate":
-            return run_estimate(spec)
-        return run_convergence(spec)
     except (MatrixFormatError, OSError) as exc:
         print(f"detmc: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SingularMatrixError as exc:
         print(f"detmc: error: singular matrix: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except _UsageError as exc:
-        print(f"detmc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

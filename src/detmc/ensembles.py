@@ -58,6 +58,11 @@ class EnsembleSpec:
             raise InvalidEnsembleError(f"unknown ensemble kind {self.kind!r}")
         if self.n < 1:
             raise InvalidEnsembleError("dimension must be positive")
+        for field, kind in (
+            ("scale", "scaled_identity"), ("diag", "diagonal"), ("cond", "ill_conditioned")
+        ):
+            if getattr(self, field) is not None and self.kind != kind:
+                raise InvalidEnsembleError(f"{field} applies only to the {kind} kind")
         if self.kind == "scaled_identity":
             if self.scale is None or self.scale == 0.0 or not math.isfinite(self.scale):
                 raise InvalidEnsembleError("scaled_identity needs a finite nonzero scale")

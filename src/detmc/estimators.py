@@ -8,11 +8,13 @@ of the map an operator realizes:
 
 The importance form is the general hook for user-supplied (p, q) pairs.
 With q = p = N(0, I) the normalising constants cancel and the weight is the
-Gaussian ratio exp((||x||^2 - ||A x||^2) / 2); the sphere form is that ratio
-with the chi-distributed radius of x integrated out analytically, so the two
-cross-validate each other.  The sphere weight is homogeneous of degree 0 in
-s, so it is computed on the unnormalised Gaussian g = r s as
--n (log||A g|| - log||g||): no draw is normalised first.
+Gaussian ratio exp((||x||^2 - ||A x||^2) / 2).  For any radial pair (p and
+q depend on ||x|| only) conditioning on s = x / ||x|| integrates the radius
+out exactly, E[p(A x) / q(x) | s] = ||A s||^{-n}, so the sphere weight is the
+Rao-Blackwellised importance weight and its variance is no larger for every
+A.  The sphere weight is homogeneous of degree 0 in s, so it is computed on
+the unnormalised Gaussian g = r s as -n (log||A g|| - log||g||): no draw is
+normalised first.
 Applying the sphere formula to a solve-based operator (A maps to A^{-1})
 turns it into an estimator of |det A| itself; that is
 :func:`det_via_inverse_solves`.

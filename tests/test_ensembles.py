@@ -91,6 +91,12 @@ def test_matrix_draws_do_not_consume_estimator_streams():
         dict(kind="ill_conditioned", n=3),
         dict(kind="ill_conditioned", n=3, cond=0.5),
         dict(kind="ill_conditioned", n=1, cond=10.0),
+        # a field the kind does not use would be silently ignored
+        dict(kind="gaussian_iid", n=3, cond=5.0),
+        dict(kind="orthogonal", n=3, scale=2.0),
+        dict(kind="scaled_identity", n=3, scale=2.0, diag=(1.0, 2.0, 3.0)),
+        dict(kind="diagonal", n=2, diag=(1.0, 2.0), cond=1.0),
+        dict(kind="ill_conditioned", n=2, cond=2.0, scale=1.0),
     ],
 )
 def test_invalid_specs_rejected(kwargs):

@@ -315,6 +315,31 @@ class TestImportanceEstimator:
         )
         assert abs(r.mean - target) <= 3.0 * r.std_error
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    @pytest.mark.parametrize("v", [0.25, 1.0, 6.0])
+    def test_radius_integrates_out_to_the_sphere_weight(self, n, v):
+        # x ~ N(0, v I) is r s with r = sqrt(v) chi_n, so E[p(Ax)/q(x) | s] = ||A s||^-n
+        # for every v: the sphere weight is the Rao-Blackwellised importance weight.
+        # Most of these (n, v) have 2 v sigma_min^2 <= 1, where the importance variance
+        # is infinite; the conditional mean stays finite.
+        m = generate(EnsembleSpec("gaussian_iid", n=n, seed=4))
+        op, pair = operator_from_matrix(m), DistributionPair.gaussian_q(n, v)
+        s = gaussian_matrix(RngStream(5, 0), 1, n)[0]
+        s /= np.linalg.norm(s)
+
+        def integrand(r):
+            log_w = importance_log_weights(op, pair, float(r) * s[None, :])[0]
+            log_density_r = (
+                (n - 1) * mp.log(r) - r * r / (2 * v) - (n / 2 - 1) * mp.log(2)
+                - mp.loggamma(mp.mpf(n) / 2) - mp.mpf(n) / 2 * mp.log(v)
+            )
+            return mp.exp(log_w + log_density_r)
+
+        with mp.workdps(30):
+            conditional_mean = mp.quad(integrand, [0, mp.sqrt(v * n), mp.inf])
+        want = np.linalg.norm(m.data @ s) ** -n
+        assert float(conditional_mean) == pytest.approx(want, rel=1e-12)
+
     def test_q_without_support_raises(self):
         op = operator_from_matrix(DenseMatrix(np.eye(2)))
         dist = DistributionPair(
