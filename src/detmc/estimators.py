@@ -33,7 +33,9 @@ counts directions: a stream of d directions draws ceil(d / 4) rows and
 weighs the whole frame of its last row, up to 3 directions more than d.
 The trace point at direction p of a stream is the running mean over the
 frames of the earlier streams and the first ceil(p / 4) frames of that
-stream, so the last point is ``log_mean``.
+stream, so the last point is ``log_mean``.  Each stream stores its frames
+column-major, one (n, k) slot per direction, so the half swaps copy whole
+rows of k values, and the norms of column-major images sum such rows.
 
 Everything is accumulated in log domain: for even modest n the weights span
 ranges that overflow linear float64.  Reported standard errors come from the
@@ -91,8 +93,6 @@ _LOG_HEAVY_TAIL = math.log(1e-150)
 
 _TINY_NORMAL = float(np.finfo(np.float64).tiny)
 
-_LOG_2 = math.log(2.0)
-
 # directions the sphere kernel weighs per Gaussian row: g, Jg, Kg and JKg
 _FRAME_WIDTH = 4
 
@@ -110,12 +110,13 @@ class MatrixFreeOperator:
     """A linear map exposed only through batched products.
 
     ``apply_batch`` maps a (k, n) block of row vectors to the (k, n) block
-    of their images and must be deterministic; an image block of any other
-    shape is a ``ValueError``.  Estimators pass blocks of at most
-    ``min(16384, max(1, 2**18 // n))`` rows and may call ``apply_batch``
-    from several threads at once.  The block is a read-only view of a
-    buffer the estimator refills on its next chunk: ``apply_batch`` must
-    not write to it (numpy raises ``ValueError``) or keep a reference to it.
+    of their images, in any memory layout, and must be deterministic; an
+    image block of any other shape is a ``ValueError``.  Estimators pass
+    blocks of at most ``min(16384, max(1, 2**18 // n))`` rows and may call
+    ``apply_batch`` from several threads at once.  The block is a read-only
+    view of a buffer the estimator refills on its next chunk, column-major
+    in the sphere estimators: ``apply_batch`` must not write to it (numpy
+    raises ``ValueError``) or keep a reference to it.
     """
 
     n: int
@@ -129,7 +130,8 @@ class MatrixFreeOperator:
 def operator_from_matrix(m: DenseMatrix) -> MatrixFreeOperator:
     """Forward operator v -> A v for a dense matrix."""
     data = m.data
-    return MatrixFreeOperator(n=m.n, apply_batch=lambda xs: xs @ data.T)
+    # one GEMM whose images come back column-major, as the sphere kernel stores its blocks
+    return MatrixFreeOperator(n=m.n, apply_batch=lambda xs: (data @ xs.T).T)
 
 
 def solve_operator(m: DenseMatrix | LUFactorization) -> MatrixFreeOperator:
@@ -237,28 +239,24 @@ class DistributionPair:
 # weight kernels
 
 
-def _row_log_norms(images: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
-    """log of each row's Euclidean norm, robust to under/overflowing squares;
-    ``sq``, the rows' squared norms if already known, is overwritten by it."""
-    if sq is None:
-        sq = np.einsum("ij,ij->i", images, images)
-    # rows whose squared norm left the normal float64 range (underflow to a
-    # low-precision subnormal or zero, overflow to inf) get a scaled recompute
-    redo = np.flatnonzero(~np.isfinite(sq) | (sq < _TINY_NORMAL))
-    with np.errstate(divide="ignore"):
-        out = np.log(sq, out=sq)
-    out *= 0.5
-    for i in redo:
-        m = float(np.max(np.abs(images[i])))
-        if m == 0.0:
-            raise SingularDirectionError(
-                "a direction was mapped to the zero vector; the matrix is not full rank"
-            )
-        if not math.isfinite(m):
-            raise ValueError("operator produced a non-finite image")
-        scaled = images[i] / m
-        out[i] = math.log(m) + 0.5 * math.log(float(scaled @ scaled))
-    return out
+def _row_log_norms(images: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log of each row's Euclidean norm, written into ``out`` when given.  A block
+    with a squared norm outside the normal float64 range (underflow to a
+    low-precision subnormal or zero, overflow to inf) is recomputed with each
+    row scaled by its largest entry."""
+    sq = np.einsum("ij,ij->i", images, images, out=out)
+    if sq.min() >= _TINY_NORMAL and sq.max() < math.inf:  # False on any NaN
+        return np.multiply(np.log(sq, out=sq), 0.5, out=sq)
+    m = np.max(np.abs(images), axis=1)
+    if not np.isfinite(m).all():
+        raise ValueError("operator produced a non-finite image")
+    if not m.all():
+        raise SingularDirectionError(
+            "a direction was mapped to the zero vector; the matrix is not full rank"
+        )
+    scaled = images / m[:, np.newaxis]
+    sq = np.einsum("ij,ij->i", scaled, scaled, out=sq)
+    return np.add(np.log(m), 0.5 * np.log(sq), out=sq)
 
 
 def _apply(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
@@ -282,39 +280,40 @@ def _swap_halves(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_mean_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log((exp(a) + exp(b)) / 2), exactly; np.logaddexp costs ~6x as much."""
-    hi = np.maximum(a, b)
-    return hi + np.log1p(np.exp(np.minimum(a, b) - hi)) - _LOG_2
-
-
-def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, jg: np.ndarray | None = None,
-                       sq: np.ndarray | None = None) -> np.ndarray:
+def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, frame: np.ndarray | None = None,
+                       sq: np.ndarray | None = None, norms: np.ndarray | None = None
+                       ) -> np.ndarray:
     """Per-row log of the frame mean of the sphere weight
     w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)).
 
     The frame is g and its images under fixed signed permutations: Jg =
-    (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]) and JKg.
-    The images are written into ``jg`` when given, a (3, k, n) block for a
-    (k, n) block g; ``sq``, g's squared row norms if known, is overwritten.
+    (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]) and JKg.  The
+    four directions of a (k, n) block g are written column-major into
+    ``frame`` when given, a (4, n, k) block (g may live in the memory of
+    ``frame[3]``: it is copied out first); ``sq``, g's squared row norms if
+    known, is overwritten, and so is ``norms``, a (4, k) block.
     """
-    n, h = op.n, op.n // 2
+    n, h, k = op.n, op.n // 2, len(g)
     q = (n - h) // 2  # half the length of g[h:]
-    frame = np.empty((_FRAME_WIDTH - 1, *g.shape)) if jg is None else jg
-    log_r = _row_log_norms(g, sq)  # the maps are orthogonal: one norm serves every direction
-
-    def log_w(x: np.ndarray) -> np.ndarray:
-        return -n * (_row_log_norms(_apply(op, x)) - log_r)
-
-    _swap_halves(g, frame[0])
-    kg = frame[1]
-    _swap_halves(g[:, :h], kg[:, :h])
+    frame = np.empty((_FRAME_WIDTH, n, k)) if frame is None else frame
+    lw = np.empty((_FRAME_WIDTH, k)) if norms is None else norms
+    # the maps are orthogonal: one norm serves every direction
+    log_r = _row_log_norms(g) if sq is None else np.multiply(np.log(sq, out=sq), 0.5, out=sq)
+    g0, jg, kg, jkg = (x.T for x in frame)  # (k, n) views: every direction is a column
+    np.copyto(g0, g)
+    _swap_halves(g0, jg)
+    _swap_halves(g0[:, :h], kg[:, :h])
     # -J g[h:] = (-g[h + q:], g[h: h + q])
-    np.negative(g[:, h + q:], out=kg[:, h: n - q])
-    kg[:, n - q:] = g[:, h: h + q]
-    _swap_halves(kg, frame[2])
-    w_g, w_jg, w_kg, w_jkg = (log_w(x) for x in (g, *frame))
-    return _log_mean_pair(_log_mean_pair(w_g, w_jg), _log_mean_pair(w_kg, w_jkg))
+    np.negative(g0[:, h + q:], out=kg[:, h: n - q])
+    kg[:, n - q:] = g0[:, h: h + q]
+    _swap_halves(kg, jkg)
+    for x, out in zip(frame, lw):
+        _row_log_norms(_apply(op, x.T), out)  # one image block alive at a time
+    lw -= log_r
+    lw *= -n
+    hi = lw.max(axis=0)  # the log of the frame mean, exactly, against its largest weight
+    lw -= hi
+    return hi + np.log(np.exp(lw, out=lw).sum(axis=0)) - math.log(_FRAME_WIDTH)
 
 
 def importance_log_weights(
@@ -463,15 +462,15 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
     """
 
     def new_weigh(rows: int):
-        # this stream's draw, frame images and squared norms, refilled by every
-        # chunk; the blocks are one allocation, which glibc keeps in the heap
-        # between calls (as separate blocks it handed them back to the OS)
-        blocks = np.empty((_FRAME_WIDTH, rows, op.n))
-        g, frame, sq = blocks[0], blocks[1:], np.empty(rows)
+        # this stream's frame block, one (n, rows) slot per direction, and its norms,
+        # refilled by every chunk; glibc keeps the one large allocation in the heap
+        n, sq, lw = op.n, np.empty(rows), np.empty((_FRAME_WIDTH, rows))
+        frame = np.empty((_FRAME_WIDTH, n, rows))
+        last = frame[-1].reshape(-1)  # holds the draw's C-ordered (k, n) block until it is copied
 
         def weigh(rng: RngStream, k: int):
-            draw = sampling.gaussian_directions(rng, k, op.n, out=g[:k], sq=sq[:k])
-            return sphere_log_weights(op, draw, jg=frame[:, :k], sq=sq[:k])
+            g = sampling.gaussian_directions(rng, k, n, out=last[: k * n].reshape(k, n), sq=sq[:k])
+            return sphere_log_weights(op, g, frame=frame[:, :, :k], sq=sq[:k], norms=lw[:, :k])
 
         return weigh
 

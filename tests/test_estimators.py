@@ -137,20 +137,21 @@ class TestSphereEstimator:
         # every image of g is a signed permutation of it, so standard normal and
         # exactly uniform in direction; when 4 | n the four are also orthogonal
         identity = MatrixFreeOperator(n, lambda x: x.copy())
-        frame = np.empty((3, n, n))
-        # row j of frame[i] is the image of e_j, so frame[i] is the map's transpose
-        assert np.all(sphere_log_weights(identity, np.eye(n), jg=frame) == 0.0)
-        for q in frame:
+        frame = np.empty((_FRAME_WIDTH, n, n))
+        # column j of frame[i] is the image of e_j, so frame[i] is the map itself
+        assert np.all(sphere_log_weights(identity, np.eye(n), frame=frame) == 0.0)
+        np.testing.assert_array_equal(frame[0], np.eye(n))
+        for q in frame[1:]:
             assert set(np.unique(q)) <= {-1.0, 0.0, 1.0}
             assert np.all(np.abs(q).sum(axis=0) == 1) and np.all(np.abs(q).sum(axis=1) == 1)
             if n % 4 == 0:
                 np.testing.assert_array_equal(q.T, -q)  # skew: each image is orthogonal to g
         if n % 4:
             return
-        g, frame = gaussian_matrix(RngStream(8, 0), 64, n), np.empty((3, 64, n))
-        sphere_log_weights(identity, g, jg=frame)
-        images = np.concatenate([g[None], frame])
-        gram = np.einsum("aki,bki->kab", images, images)
+        g, frame = gaussian_matrix(RngStream(8, 0), 64, n), np.empty((_FRAME_WIDTH, n, 64))
+        sphere_log_weights(identity, g, frame=frame)
+        np.testing.assert_array_equal(frame[0], g.T)
+        gram = np.einsum("aik,bik->kab", frame, frame)
         sq = np.einsum("ki,ki->k", g, g)
         off = gram - sq[:, None, None] * np.eye(4)
         assert np.all(np.abs(off) <= 1e-12 * sq[:, None, None])
@@ -211,6 +212,58 @@ class TestSphereEstimator:
             assert sorted(k for _, k, _ in draws) == want
             assert all(len(a) == 2 and a[0].n == n for a in weighs)
             assert sorted(len(g) for _, g in weighs) == want
+
+    def test_peak_memory_is_the_frame_block_and_one_image(self):
+        # a 1-stream call at n = 10 holds its (4, n, rows) frame block and one
+        # image block at a time; the slack is eight rows-long vectors: the (4, rows)
+        # norm block, the draw's squared norms and the kernel's temporaries
+        n = 10
+        rows = _chunk_rows(n) // _FRAME_WIDTH
+        op = operator_from_matrix(well_conditioned(n, seed=3))
+        cfg = EstimatorConfig(3 * _FRAME_WIDTH * rows, seed=5)
+        inv_det_sphere(op, cfg)
+        tracemalloc.start()
+        try:
+            inv_det_sphere(op, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block, image, slack = 8 * _FRAME_WIDTH * n * rows, 8 * n * rows, 8 * 8 * rows
+        assert peak <= block + image + slack
+
+    @pytest.mark.parametrize("diag", [[1e170, 1e-170, 1.0, 1.0], [1e-170] * 4,
+                                      [1e154, 1.0, 1.0, 1.0]],
+                             ids=["overflow", "underflow", "mixed"])
+    def test_out_of_range_images_match_a_scaled_reference(self, diag):
+        # in every frame slot the images' squared norms leave the float64 range in
+        # every row, or (mixed) in the rows whose direction's first entry exceeds
+        # 1.34 in size, so each image block takes the scaled recompute
+        n, h = len(diag), len(diag) // 2
+        op = operator_from_matrix(DenseMatrix(np.diag(diag)))
+        g = gaussian_matrix(RngStream(12, 0), 64, n)
+
+        def swap(v):
+            return np.concatenate([v[len(v) // 2:], -v[: len(v) // 2]])
+
+        for row, got in zip(g, sphere_log_weights(op, g)):
+            kg = np.concatenate([swap(row[:h]), -swap(row[h:])])
+            w = [-n * (math.log(math.hypot(*(diag * d))) - math.log(math.hypot(*row)))
+                 for d in (row, swap(row), kg, swap(kg))]
+            top = max(w)
+            want = top + math.log(math.fsum(math.exp(x - top) for x in w) / _FRAME_WIDTH)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 10, 64])
+    def test_image_layout_does_not_change_the_estimate(self, n):
+        m = generate(EnsembleSpec("gaussian_iid", n=n, seed=2)).data
+        cfg = EstimatorConfig(2 * _FRAME_WIDTH * 5001, seed=11, num_streams=2, trace_stride=997)
+        c_order = inv_det_sphere(
+            MatrixFreeOperator(n, lambda xs: np.ascontiguousarray(xs @ m.T)), cfg)
+        column_major = inv_det_sphere(
+            MatrixFreeOperator(n, lambda xs: np.asfortranarray(xs @ m.T)), cfg)
+        assert column_major.log_mean == pytest.approx(c_order.log_mean, rel=1e-12)
+        assert column_major.std_error == pytest.approx(c_order.std_error, rel=1e-12)
+        np.testing.assert_allclose(column_major.trace, c_order.trace, rtol=1e-12)
 
     def test_perfectly_correlated_fours_count_once(self):
         # A = diag(d, d, d, d) is also invariant under K: all four images of g
@@ -478,22 +531,29 @@ class TestStreams:
 
     @pytest.mark.parametrize(
         "estimator, n, num_streams, want",
+        # the column-major frame moved four pins at rounding level; was:
+        #   sphere-10-1      std_error 0x1.8248b20847678p-11
+        #   sphere-16-1      std_error 0x1.870943ce17353p-30
+        #   sphere-16-2      std_error 0x1.832006dd3e5a2p-29
+        #   importance-10-2  ("-0x1.a6b015fd0bd8ap+2", "0x1.21711dddc6fc0p-11",
+        #                     "-0x1.a6b015fd0bd8ap+2")
         [
-            ("sphere", 10, 1, ("-0x1.8dc21e57cf3abp+2", "0x1.8248b20847678p-11",
+            ("sphere", 10, 1, ("-0x1.8dc21e57cf3abp+2", "0x1.8248b20847676p-11",
                                "-0x1.8dc21e57cf3acp+2")),
             ("sphere", 10, 2, ("-0x1.a15e36b8c181fp+2", "0x1.5ec4cb93118f3p-11",
                                "-0x1.a15e36b8c1820p+2")),
-            ("sphere", 16, 1, ("-0x1.25ec296ed1ca4p+4", "0x1.870943ce17353p-30",
+            ("sphere", 16, 1, ("-0x1.25ec296ed1ca4p+4", "0x1.870943ce17352p-30",
                                "-0x1.25ec296ed1ca4p+4")),
-            ("sphere", 16, 2, ("-0x1.22fe5fe990aa2p+4", "0x1.832006dd3e5a2p-29",
+            ("sphere", 16, 2, ("-0x1.22fe5fe990aa2p+4", "0x1.832006dd3e5b3p-29",
                                "-0x1.22fe5fe990aa2p+4")),
-            ("importance", 10, 2, ("-0x1.a6b015fd0bd8ap+2", "0x1.21711dddc6fc0p-11",
-                                   "-0x1.a6b015fd0bd8ap+2")),
+            ("importance", 10, 2, ("-0x1.a6b015fd0bd8cp+2", "0x1.21711dddc6fb9p-11",
+                                   "-0x1.a6b015fd0bd8bp+2")),
         ],
     )
     def test_seeded_bits_pinned_up_to_n_16(self, estimator, n, num_streams, want):
         # n <= 16 keeps 16384-sample chunks: these bits move only with a release
-        # note (n = 16 moved when 4 | n took frames of four, n = 10 when every n did)
+        # note (n = 16 moved when 4 | n took frames of four, n = 10 when every n did,
+        # and both at rounding level with the column-major frame)
         op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=1)))
         cfg = EstimatorConfig(40_000, seed=3, num_streams=num_streams, trace_stride=997)
         if estimator == "sphere":
@@ -709,8 +769,18 @@ class TestConfigAndTypes:
         with pytest.raises(ValueError, match="apply_batch mapped"):
             estimate(op, EstimatorConfig(100, seed=0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_image_is_loud_for_sphere(self, bad):
+        def apply_batch(x):
+            y = np.array(x)
+            y[::7] = bad
+            return y
+
+        op = MatrixFreeOperator(n=3, apply_batch=apply_batch)
+        with pytest.raises(ValueError, match="non-finite image"):
+            inv_det_sphere(op, EstimatorConfig(100))
+
     def test_non_finite_image_is_loud_for_importance(self):
-        # the sphere kernel raises the same error on this operator
         def apply_batch(x):
             y = x.copy()
             y[::7] = np.inf
