@@ -57,9 +57,10 @@ concurrent threads, or the estimate must run with ``num_streams = 1``.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -154,6 +155,9 @@ class EstimatorConfig:
     trace_stride: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), numbers.Integral):
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         if self.num_samples < 1:
             raise ValueError("num_samples must be positive")
         if self.num_streams < 1:
@@ -342,31 +346,10 @@ def _row_values(name: str, values, k: int) -> np.ndarray:
 # streaming driver
 
 
-def _stride_points(stream_id: int, per_stream: int, stride: int, is_last: bool) -> np.ndarray:
-    """Local 1-based sample indices of this stream that land on the trace grid."""
-    offset = stream_id * per_stream
-    first = stride - offset % stride
-    points = np.arange(first, per_stream + 1, stride, dtype=np.int64)
-    if is_last and (points.size == 0 or points[-1] != per_stream):
-        points = np.append(points, per_stream)
-    return points
-
-
-def _log_total(acc: StreamingAccumulator) -> float:
-    """log of the sum of the weights ``acc`` holds; -inf when every weight is zero."""
-    return acc.max_log + math.log(acc.shifted_sum) if acc.shifted_sum > 0.0 else -math.inf
-
-
-def _log_prefix_sums(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """log of sum(exp(w[:i + 1])) for each i in ``idx``, against the block maximum;
-    the leading prefixes that underflow there (< 1e-290) are rescanned exactly."""
-    m = float(w.max())
-    if m == -math.inf:
-        return np.full(idx.size, -math.inf)
-    sums = np.cumsum(np.exp(w - m))[idx]
-    small = int(np.searchsorted(sums, 1e-290))
-    head = np.logaddexp.accumulate(w[: idx[small - 1] + 1])[idx[:small]] if small else []
-    return np.concatenate([head, m + np.log(sums[small:])])
+def _trace_grid(num_samples: int, stride: int) -> np.ndarray:
+    """1-based sample indices of the trace: every stride-th sample and the last."""
+    grid = np.arange(stride, num_samples + 1, stride, dtype=np.int64)
+    return grid if grid.size and grid[-1] == num_samples else np.append(grid, num_samples)
 
 
 def _chunk_rows(n: int) -> int:
@@ -377,18 +360,16 @@ def _chunk_rows(n: int) -> int:
 
 
 def _run_stream(new_weigh, n: int, width: int, config: EstimatorConfig, stream_id: int,
-                per_stream: int):
+                per_stream: int, ends: np.ndarray):
     """Consume one substream of ``per_stream`` samples, ``width`` per weight: its
-    accumulator, trace points (in samples) and log prefix sums of the weights there."""
+    accumulator and the log-total of its weights up to each 1-based weight index
+    in ``ends``."""
     rows = max(1, _chunk_rows(n) // width)
     total = (per_stream + width - 1) // width
     weigh = new_weigh(min(rows, total))  # owned by this stream for this call only
     rng = RngStream(config.seed, stream_id)
     acc = StreamingAccumulator()
-    stride, is_last = config.trace_stride, stream_id == config.num_streams - 1
-    points = _stride_points(stream_id, per_stream, stride, is_last) if stride else np.empty(0, int)
-    ends = (points + width - 1) // width  # the weight each trace point falls in, 1-based
-    values = np.empty(points.size)
+    values = np.empty(ends.size)
     done = 0
     while done < total:
         k = min(rows, total - done)
@@ -396,12 +377,9 @@ def _run_stream(new_weigh, n: int, width: int, config: EstimatorConfig, stream_i
         if w.shape != (k,):
             raise ValueError(f"expected {k} log-weights from a chunk, got shape {w.shape}")
         lo, hi = np.searchsorted(ends, (done, done + k), side="right")
-        offset = _log_total(acc)
-        acc.update_many(w)  # rejects NaN and +inf before the prefix sums see them
-        if hi > lo:
-            values[lo:hi] = np.logaddexp(offset, _log_prefix_sums(w, ends[lo:hi] - done - 1))
+        values[lo:hi] = acc.update_many(w, at=ends[lo:hi] - done - 1)
         done += k
-    return acc, points, values
+    return acc, values
 
 
 def _run(new_weigh, n: int, config: EstimatorConfig, width: int = 1) -> EstimateResult:
@@ -411,33 +389,32 @@ def _run(new_weigh, n: int, config: EstimatorConfig, width: int = 1) -> Estimate
     the blocks a ``weigh`` refills belong to one stream of one call."""
     per_stream = config.num_samples // config.num_streams
     weights = (per_stream + width - 1) // width  # folded by each stream
-    ids = range(config.num_streams)
+    stride = config.trace_stride
+    grid = _trace_grid(config.num_samples, stride) if stride else np.empty(0, np.int64)
+    # stream j holds the grid points in (j * per_stream, (j + 1) * per_stream]; the
+    # weight each falls in, 1-based within the stream, is one of its ``ends``
+    cuts = np.searchsorted(grid, np.arange(config.num_streams + 1) * per_stream, side="right")
+    ends = [(grid[cuts[j]: cuts[j + 1]] - j * per_stream + width - 1) // width
+            for j in range(config.num_streams)]
+
+    def run(j: int):
+        return _run_stream(new_weigh, n, width, config, j, per_stream, ends[j])
+
     if config.num_streams == 1:
-        results = [_run_stream(new_weigh, n, width, config, 0, per_stream)]
+        results = [run(0)]
     else:
         workers = min(config.num_streams, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda j: _run_stream(new_weigh, n, width, config, j, per_stream), ids)
-            )
-    # merge in stream-id order: reproducible regardless of worker scheduling;
-    # stream j's trace offset is the log-total of the streams before it
+            results = list(pool.map(run, range(config.num_streams)))
+    # merge in stream-id order: reproducible regardless of worker scheduling.  The
+    # running mean at a grid point of stream j averages the weights of the streams
+    # before it and the first ``ends`` weights of stream j
     merged = StreamingAccumulator()
-    offsets = []
-    for acc, _, _ in results:
-        offsets.append(_log_total(merged))
+    running = []
+    for j, (acc, values) in enumerate(results):
+        running.append(np.logaddexp(merged.log_total, values) - np.log(j * weights + ends[j]))
         merged = merged.merge(acc)
-    trace = None
-    if config.trace_stride:
-        index = np.concatenate([j * per_stream + p for j, (_, p, _) in enumerate(results)])
-        # the running mean at sample p of stream j averages the weights of the
-        # streams before it and the first ceil(p / width) weights of stream j
-        counts = np.concatenate([j * weights + (p + width - 1) // width
-                                 for j, (_, p, _) in enumerate(results)])
-        values = np.concatenate([v for _, _, v in results])
-        offsets = np.repeat(offsets, [p.size for _, p, _ in results])
-        running = np.logaddexp(offsets, values) - np.log(counts)
-        trace = tuple(zip(index.tolist(), running.tolist()))
+    trace = tuple(zip(grid.tolist(), np.concatenate(running).tolist())) if stride else None
     summary = merged.summarize()
     return EstimateResult(
         log_mean=summary.log_mean,

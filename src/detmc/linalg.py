@@ -114,8 +114,11 @@ def log_abs_det(f: LUFactorization) -> float:
 
 def load_matrix(path) -> DenseMatrix:
     """Read the plain-text matrix format: a line ``n``, then n rows of n floats."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = fh.read().split()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not ASCII text (byte {exc.start})")
     if not tokens:
         raise MatrixFormatError(f"{path}: empty matrix file")
     try:

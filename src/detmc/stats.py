@@ -9,10 +9,12 @@ The accumulator tracks
     shifted_sum_sq = sum(exp(2 (lw_i - max_log)))
 
 which is enough to recover the log of the mean weight and the linear-domain
-standard error of the mean.  Standard errors use the sample variance with
-Bessel correction (count - 1); a single sample reports std_error = 0 with
-``low_count`` set.  The standard error can overflow to +inf for extreme
-log-ranges; that is reported as-is, never raised.
+standard error of the mean.  ``log_total`` is the log of the running sum, and
+``update_many`` reports it after chosen positions of a block from the shifted
+weights it folds: the estimators' traces.  Standard errors use the sample
+variance with Bessel correction (count - 1); a single sample reports
+std_error = 0 with ``low_count`` set.  The standard error can overflow to
++inf for extreme log-ranges; that is reported as-is, never raised.
 
 A log-weight of -inf is accepted and means "weight exactly zero": it bumps
 the count without touching the sums.  NaN and +inf are contract violations.
@@ -59,25 +61,42 @@ class StreamingAccumulator:
     shifted_sum: float = 0.0
     shifted_sum_sq: float = 0.0
 
-    def update_many(self, log_weights: np.ndarray) -> None:
-        """Absorb a block of log-weights in one vectorized fold.
+    @property
+    def log_total(self) -> float:
+        """log of the sum of the weights absorbed so far; -inf while every weight is zero."""
+        return self.max_log + math.log(self.shifted_sum) if self.shifted_sum > 0.0 else -math.inf
 
-        The block is reduced against its own maximum first.  The reductions
+    def update_many(self, log_weights: np.ndarray, at=()) -> np.ndarray:
+        """Absorb a block of log-weights in one vectorized fold; return
+        :attr:`log_total` as it stood after each block position in ``at``
+        (0-based, ascending).
+
+        The block is reduced against its own maximum first, and the running
+        sums at ``at`` come from the same shifted weights; the leading ones
+        that underflow there (< 1e-290) are rescanned exactly.  The reductions
         avoid BLAS, so the result does not depend on the BLAS thread count.
         """
         lw = np.asarray(log_weights, dtype=np.float64)
+        at = np.asarray(at, dtype=np.int64)
         if lw.ndim != 1:
             raise ValueError("expected a 1-D array of log-weights")
-        if lw.size == 0:
-            return
-        m = float(lw.max())  # NaN propagates through max: one pass checks both
+        if at.size and not (0 <= at[0] and at[-1] < lw.size and (np.diff(at) >= 0).all()):
+            raise ValueError("positions must be ascending indices into the block")
+        before = self.log_total
+        m = float(lw.max()) if lw.size else -math.inf  # NaN propagates through max
         if math.isnan(m) or m == math.inf:
             raise ValueError("log-weights must not contain NaN or +inf")
-        if m == -math.inf:
+        if m == -math.inf:  # an empty block, or one of zero weights
             self.count += lw.size
-            return
+            return np.full(at.size, before)
         d = np.exp(lw - m)  # -inf entries become exact zeros
         self._absorb(lw.size, m, float(d.sum()), float(np.einsum("i,i->", d, d)))
+        if not at.size:
+            return np.empty(0)
+        sums = np.cumsum(d)[at]
+        small = int(np.searchsorted(sums, 1e-290))
+        head = np.logaddexp.accumulate(lw[: at[small - 1] + 1])[at[:small]] if small else []
+        return np.logaddexp(before, np.concatenate([head, m + np.log(sums[small:])]))
 
     def merge(self, other: "StreamingAccumulator") -> "StreamingAccumulator":
         """Return a new accumulator equal to this one plus ``other``.

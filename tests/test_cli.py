@@ -219,6 +219,14 @@ class TestExitCodes:
             "--samples", "10",
         ) == 2
 
+    def test_non_ascii_matrix_file(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("2\n1 \u22122\n3 4\n".encode())
+        assert run_cli(
+            "estimate", "--estimator", "sphere_invdet", "--matrix", str(bad),
+            "--samples", "10",
+        ) == 2
+
     def test_singular_matrix_file(self, tmp_path):
         singular = tmp_path / "s.txt"
         singular.write_text("2\n1 2\n2 4\n")

@@ -1,5 +1,6 @@
 """Estimator tests: exactness anchors, oracle agreement, stream semantics."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -20,7 +21,7 @@ from detmc.estimators import (
     UnsupportedSampleError,
     _FRAME_WIDTH,
     _chunk_rows,
-    _stride_points,
+    _trace_grid,
     default_trace_stride,
     det_via_inverse_solves,
     importance_log_weights,
@@ -539,15 +540,20 @@ class TestStreams:
         #                     "-0x1.a6b015fd0bd8ap+2")
         [
             ("sphere", 10, 1, ("-0x1.8dc21e57cf3abp+2", "0x1.8248b20847676p-11",
-                               "-0x1.8dc21e57cf3acp+2")),
+                               "-0x1.8dc21e57cf3acp+2",
+                               "fc3cf70f19c8f745c97504e4062016269f9972d7")),
             ("sphere", 10, 2, ("-0x1.a15e36b8c181fp+2", "0x1.5ec4cb93118f3p-11",
-                               "-0x1.a15e36b8c1820p+2")),
+                               "-0x1.a15e36b8c1820p+2",
+                               "fb1a5c45aadad9967247ab4507eaa6cba000d7dc")),
             ("sphere", 16, 1, ("-0x1.25ec296ed1ca4p+4", "0x1.870943ce17352p-30",
-                               "-0x1.25ec296ed1ca4p+4")),
+                               "-0x1.25ec296ed1ca4p+4",
+                               "e5047ee8f5247ce4feaf2e786bf5a7242df0f564")),
             ("sphere", 16, 2, ("-0x1.22fe5fe990aa2p+4", "0x1.832006dd3e5b3p-29",
-                               "-0x1.22fe5fe990aa2p+4")),
+                               "-0x1.22fe5fe990aa2p+4",
+                               "35422fffece9454983407064bf33caf26e795b10")),
             ("importance", 10, 2, ("-0x1.a6b015fd0bd8cp+2", "0x1.21711dddc6fb9p-11",
-                                   "-0x1.a6b015fd0bd8bp+2")),
+                                   "-0x1.a6b015fd0bd8bp+2",
+                                   "443028d7e16cd03a913880671a236b7e25ac166b")),
         ],
     )
     def test_seeded_bits_pinned_up_to_n_16(self, estimator, n, num_streams, want):
@@ -560,12 +566,15 @@ class TestStreams:
             r = inv_det_sphere(op, cfg)
         else:
             r = inv_det_importance(op, DistributionPair.gaussian_q(n, 2.0), cfg)
-        assert (r.log_mean.hex(), r.std_error.hex(), r.trace[-1][1].hex()) == want
+        # the SHA-1 pins every trace point, index and float.hex
+        points = hashlib.sha1(" ".join(f"{i}:{v.hex()}" for i, v in r.trace).encode())
+        assert (r.log_mean.hex(), r.std_error.hex(), r.trace[-1][1].hex(),
+                points.hexdigest()) == want
 
     @pytest.mark.parametrize("num_samples", [1, 10_000, 10_001, 19_999, 2**21])
     def test_default_trace_stride_keeps_at_most_10_4_points(self, num_samples):
         stride = default_trace_stride(num_samples)
-        assert 1 <= _stride_points(0, num_samples, stride, is_last=True).size <= 10_000
+        assert 1 <= _trace_grid(num_samples, stride).size <= 10_000
 
     def test_trace_covers_stride_grid_across_streams(self):
         m = generate(EnsembleSpec("gaussian_iid", n=3, seed=6))
@@ -725,6 +734,12 @@ class TestConfigAndTypes:
             dict(num_samples=10, num_streams=3),
             dict(num_samples=10, trace_stride=-1),
             dict(num_samples=10, seed=-1),
+            # non-integers: a float stride put trace points past the last sample,
+            # a float seed silently ran the seed below it
+            dict(num_samples=1000, trace_stride=7.5),
+            dict(num_samples=1000, seed=1.5),
+            dict(num_samples=1000.0),
+            dict(num_samples=1000, num_streams=2.0),
         ],
     )
     def test_bad_config_rejected(self, kwargs):

@@ -297,10 +297,12 @@ class TestMatrixFiles:
             "2\n1 2 3 4 5\n",
             "-1\n",
             "2\n1 2\n3 inf\n",
+            b"\xef\xbb\xbf2\n1 2\n3 4\n",  # UTF-8 byte order mark
+            "2\n1 \u22122\n3 4\n".encode(),  # U+2212 minus sign
         ],
     )
     def test_malformed_rejected(self, tmp_path, text):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(MatrixFormatError):
             load_matrix(path)

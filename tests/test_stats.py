@@ -1,5 +1,6 @@
 """Accumulator tests: log-domain means, standard errors, merging."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -154,6 +155,44 @@ def test_split_merge_agrees_with_sequential(lw, pieces):
     assert got.log_mean == pytest.approx(seq.log_mean, rel=1e-11, abs=1e-11)
     assert min(lw) - 1e-9 <= seq.log_mean <= max(lw) + 1e-9
     assert got.std_error >= 0.0
+
+
+def mp_log_sum(log_weights):
+    """Arbitrary-precision oracle: log(sum(exp(lw))), -inf for no or zero weights."""
+    with mp.workdps(60):
+        return float(mp.log(mp.fsum(mp.exp(mp.mpf(float(w))) for w in log_weights)))
+
+
+# 1,300 nats from the first weights to the largest: the leading running sums
+# underflow against the block maximum and are rescanned
+WIDE = np.concatenate([np.random.default_rng(7).uniform(-1000.0, -700.0, 40),
+                       np.random.default_rng(8).uniform(-300.0, 300.0, 200)])
+
+
+@pytest.mark.parametrize("before", [[], [-900.0]], ids=["fresh", "after_a_weight"])
+@pytest.mark.parametrize(
+    "block, at",
+    [(WIDE, [0, 1, 39, 40, 40, 120, 239]), (np.full(5, -math.inf), [0, 2, 4]),
+     (np.empty(0), []), (np.array([-3.0, -math.inf, 2.0]), [0, 1, 2])],
+    ids=["wide", "all_zero", "empty", "short"],
+)
+def test_update_many_running_totals_match_oracle(before, block, at):
+    acc, plain = filled(before), filled(before)
+    got = acc.update_many(block, at=at)
+    plain.update_many(block)
+    lw = before + block.tolist()
+    want = [mp_log_sum(lw[: len(before) + i + 1]) for i in at]
+    assert got.shape == (len(at),)
+    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert acc.log_total == pytest.approx(mp_log_sum(lw), rel=1e-12, abs=1e-12)
+    # listing positions leaves the fold bit for bit as it is without them
+    assert dataclasses.astuple(acc) == dataclasses.astuple(plain)
+
+
+@pytest.mark.parametrize("at", [[-1], [3], [2, 1]])
+def test_update_many_rejects_positions_outside_the_block(at):
+    with pytest.raises(ValueError):
+        StreamingAccumulator().update_many(np.zeros(3), at=at)
 
 
 FOLD_SCRIPT = """
