@@ -33,7 +33,7 @@ from .linalg import (
     lu_factorize,
     save_matrix,
 )
-from .sampling import RngStream, log_density_std_gaussian
+from .sampling import RngStream
 from .stats import StreamingAccumulator
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ __all__ = [
     "inv_det_sphere",
     "load_matrix",
     "log_abs_det",
-    "log_density_std_gaussian",
     "lu_factorize",
     "operator_from_matrix",
     "save_matrix",

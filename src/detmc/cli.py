@@ -26,6 +26,7 @@ from .linalg import (
     log_abs_det,
     lu_factorize,
 )
+from .stats import _exp_or_inf
 
 __all__ = ["main"]
 
@@ -54,10 +55,8 @@ def _float17(x: float) -> str:
 
 
 def _exp17(log_x: float) -> str:
-    try:
-        return _float17(math.exp(log_x))
-    except OverflowError:
-        return "overflow"
+    x = _exp_or_inf(log_x)
+    return "overflow" if x == math.inf else _float17(x)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:

@@ -24,6 +24,7 @@ Families:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InvalidEnsembleError(f"unknown ensemble kind {self.kind!r}")
+        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.seed)):
+            raise InvalidEnsembleError(f"n and seed must be integers, got {self.n!r}, {self.seed!r}")
         if self.n < 1:
             raise InvalidEnsembleError("dimension must be positive")
         for field, kind in (

@@ -48,8 +48,9 @@ Confidence-interval-based checks in this package therefore stick to
 well-conditioned ensembles.
 
 Sampling is partitioned evenly across ``num_streams`` independent substreams
-(one worker each) and partial accumulators are merged in stream-id order, so
-a result is a pure function of its config no matter how workers were
+(stream 0 on the calling thread, one pool thread per further stream up to
+the CPU count) and partial accumulators are merged in stream-id order, so a
+result is a pure function of its config no matter how the threads were
 scheduled.  Operators and distribution callables must be safe to call from
 concurrent threads, or the estimate must run with ``num_streams = 1``.
 """
@@ -67,8 +68,8 @@ import numpy as np
 
 from . import sampling
 from .linalg import DenseMatrix, LUFactorization, lu_factorize, lu_solve_many
-from .sampling import RngStream, log_density_std_gaussian
-from .stats import StreamingAccumulator
+from .sampling import RngStream
+from .stats import StreamingAccumulator, _exp_or_inf
 
 __all__ = [
     "MatrixFreeOperator",
@@ -124,6 +125,8 @@ class MatrixFreeOperator:
     apply_batch: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"operator dimension must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("operator dimension must be positive")
 
@@ -197,10 +200,7 @@ class EstimateResult:
 
     @property
     def mean(self) -> float:
-        try:
-            return math.exp(self.log_mean)
-        except OverflowError:
-            return math.inf
+        return _exp_or_inf(self.log_mean)
 
 
 @dataclass(frozen=True)
@@ -208,10 +208,10 @@ class DistributionPair:
     """The (p, q) pair of the importance estimator.
 
     ``q_sampler(rng, k)`` draws a (k, n) block from q consuming ``rng``
-    deterministically; ``log_p`` / ``log_q`` evaluate log-densities row-wise
-    on such blocks, one value per row: any other shape, a scalar included,
-    is a ``ValueError``, as is a pair that yields other than k weights for
-    k requested rows.  q must have full support: a drawn sample with
+    deterministically, n the operator's dimension; ``log_p`` / ``log_q``
+    evaluate log-densities row-wise on such blocks, one value per row: a
+    block or a set of values of any other shape, a scalar included, is a
+    ``ValueError``.  q must have full support: a drawn sample with
     ``log_q = -inf`` is reported as :class:`UnsupportedSampleError`.  p may
     assign zero density (the weight is then exactly zero).
     """
@@ -226,16 +226,21 @@ class DistributionPair:
         if q_variance <= 0.0 or not math.isfinite(q_variance):
             raise ValueError("q_variance must be positive and finite")
         scale = math.sqrt(q_variance)
-        log_norm = 0.5 * n * math.log(2.0 * math.pi * q_variance)
 
-        def log_q(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=np.float64)
-            return -log_norm - np.sum(x * x, axis=-1) / (2.0 * q_variance)
+        def log_density(v: float) -> Callable[[np.ndarray], np.ndarray]:
+            """Row-wise log-density of N(0, v I) on the last axis of its input."""
+            log_norm = 0.5 * n * math.log(2.0 * math.pi * v)
+
+            def log_pdf(x: np.ndarray) -> np.ndarray:
+                x = np.asarray(x, dtype=np.float64)
+                return -log_norm - np.sum(x * x, axis=-1) / (2.0 * v)
+
+            return log_pdf
 
         return DistributionPair(
-            log_p=log_density_std_gaussian,
+            log_p=log_density(1.0),
             q_sampler=lambda rng, k: scale * sampling.gaussian_matrix(rng, k, n),
-            log_q=log_q,
+            log_q=log_density(q_variance),
         )
 
 
@@ -374,8 +379,6 @@ def _run_stream(new_weigh, n: int, width: int, config: EstimatorConfig, stream_i
     while done < total:
         k = min(rows, total - done)
         w = weigh(rng, k)
-        if w.shape != (k,):
-            raise ValueError(f"expected {k} log-weights from a chunk, got shape {w.shape}")
         lo, hi = np.searchsorted(ends, (done, done + k), side="right")
         values[lo:hi] = acc.update_many(w, at=ends[lo:hi] - done - 1)
         done += k
@@ -400,12 +403,12 @@ def _run(new_weigh, n: int, config: EstimatorConfig, width: int = 1) -> Estimate
     def run(j: int):
         return _run_stream(new_weigh, n, width, config, j, per_stream, ends[j])
 
-    if config.num_streams == 1:
-        results = [run(0)]
-    else:
-        workers = min(config.num_streams, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(config.num_streams)))
+    # stream 0 on this thread, so a 1-stream call starts no thread; an exception
+    # in any stream is raised once the pool has finished every other stream
+    workers = max(1, min(config.num_streams, os.cpu_count() or 1) - 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, j) for j in range(1, config.num_streams)]
+        results = [run(0)] + [f.result() for f in futures]
     # merge in stream-id order: reproducible regardless of worker scheduling.  The
     # running mean at a grid point of stream j averages the weights of the streams
     # before it and the first ``ends`` weights of stream j
@@ -460,7 +463,11 @@ def inv_det_importance(
     """Reciprocal-determinant estimate averaging p(op(x))/q(x) over x ~ q."""
 
     def weigh(rng: RngStream, k: int):
-        return importance_log_weights(op, dist, dist.q_sampler(rng, k))
+        x = dist.q_sampler(rng, k)
+        if np.shape(x) != (k, op.n):
+            raise ValueError(f"q_sampler must return a ({k}, {op.n}) block for {k} log-weights; "
+                             f"got shape {np.shape(x)}")
+        return importance_log_weights(op, dist, x)
 
     return _run(lambda rows: weigh, op.n, config)
 

@@ -1,4 +1,6 @@
 """Seeded random sources: Gaussian blocks and unit-sphere directions.
+The Gaussian log-densities of the importance estimator live in
+:meth:`detmc.DistributionPair.gaussian_q`.
 
 Reproducibility contract: every draw is a pure function of ``(seed,
 stream_id)``.  The generator is numpy's PCG64 keyed by
@@ -17,7 +19,7 @@ divides the same rows by their norms.
 
 from __future__ import annotations
 
-import math
+import numbers
 
 import numpy as np
 
@@ -26,7 +28,6 @@ __all__ = [
     "gaussian_matrix",
     "gaussian_directions",
     "unit_sphere_many",
-    "log_density_std_gaussian",
 ]
 
 # norms below this are resampled rather than divided by; the probability of
@@ -42,6 +43,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
+        if not (isinstance(seed, numbers.Integral) and isinstance(stream_id, numbers.Integral)):
+            raise ValueError(f"seed and stream_id must be integers, got {seed!r}, {stream_id!r}")
         if seed < 0 or stream_id < 0:
             raise ValueError("seed and stream_id must be non-negative")
         self.seed = int(seed)
@@ -89,15 +92,3 @@ def unit_sphere_many(rng: RngStream, k: int, n: int) -> np.ndarray:
     """(k, n) block of independent uniform unit-sphere samples."""
     g = gaussian_directions(rng, k, n)
     return g / np.linalg.norm(g, axis=1)[:, np.newaxis]
-
-
-def log_density_std_gaussian(x: np.ndarray) -> np.ndarray | float:
-    """Standard-normal log-density -(n/2) log(2 pi) - ||x||^2 / 2.
-
-    Accepts a single vector or a (k, n) batch of row vectors; the vector
-    axis is the last one.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    out = -0.5 * n * math.log(2.0 * math.pi) - 0.5 * np.sum(x * x, axis=-1)
-    return float(out) if out.ndim == 0 else out

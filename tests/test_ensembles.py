@@ -97,8 +97,13 @@ def test_matrix_draws_do_not_consume_estimator_streams():
         dict(kind="scaled_identity", n=3, scale=2.0, diag=(1.0, 2.0, 3.0)),
         dict(kind="diagonal", n=2, diag=(1.0, 2.0), cond=1.0),
         dict(kind="ill_conditioned", n=2, cond=2.0, scale=1.0),
+        # a non-integer dimension or seed would be truncated or fail inside numpy
+        dict(kind="gaussian_iid", n=2.5),
+        dict(kind="gaussian_iid", n=3.0),
+        dict(kind="gaussian_iid", n=3, seed=1.5),
+        dict(kind="orthogonal", n=3, seed="1"),
     ],
 )
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(InvalidEnsembleError):
-        EnsembleSpec(seed=0, **kwargs)
+        EnsembleSpec(**{"seed": 0, **kwargs})

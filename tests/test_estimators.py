@@ -521,6 +521,26 @@ class TestStreams:
         op = operator_from_matrix(m)
         assert inv_det_sphere(op, cfg) == inv_det_sphere(op, cfg)
 
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_error_in_one_stream_is_raised(self, failing):
+        # q tags each row with its stream id: the operator fails on one stream only,
+        # and the error surfaces after the other streams have run
+        base = DistributionPair.gaussian_q(2, 1.0)
+        dist = DistributionPair(log_p=base.log_p, log_q=base.log_q,
+                                q_sampler=lambda rng, k: np.full((k, 2), float(rng.stream_id)))
+        seen = set()
+
+        def apply_batch(x):
+            seen.add(int(x[0, 0]))
+            if x[0, 0] == failing:
+                raise RuntimeError(f"stream {failing} failed")
+            return x
+
+        with pytest.raises(RuntimeError, match=f"stream {failing} failed"):
+            inv_det_importance(MatrixFreeOperator(2, apply_batch), dist,
+                               EstimatorConfig(3000, num_streams=3))
+        assert seen == {0, 1, 2}
+
     def test_stream_counts_statistically_compatible(self):
         m = generate(EnsembleSpec("gaussian_iid", n=5, seed=3))
         op = operator_from_matrix(m)
@@ -747,8 +767,10 @@ class TestConfigAndTypes:
             EstimatorConfig(**kwargs)
 
     def test_operator_validation(self):
-        with pytest.raises(ValueError):
-            MatrixFreeOperator(n=0, apply_batch=lambda x: x)
+        # n = 3.0 failed inside numpy; n = 3.5 gave an importance log_mean of 0.0
+        for n in (0, 3.0, 3.5):
+            with pytest.raises(ValueError):
+                MatrixFreeOperator(n=n, apply_batch=lambda x: x)
 
     def test_result_mean_overflow(self):
         r = EstimateResult(log_mean=800.0, std_error=0.0, n_samples=1)
@@ -837,3 +859,11 @@ class TestConfigAndTypes:
         op = MatrixFreeOperator(n=2, apply_batch=lambda x: x)
         with pytest.raises(ValueError, match="log-weights"):
             inv_det_importance(op, dist, EstimatorConfig(1000))
+
+    @pytest.mark.parametrize("q_dim", [4, 2])
+    def test_q_of_the_wrong_dimension_is_loud(self, q_dim):
+        # unchecked, a q on R^4 (R^2) gave log_mean -2.798 (-1.470), near -log 16
+        # (-log 4), against the exact -log 8 of the 3-d map, with heavy_tail False
+        op = MatrixFreeOperator(n=3, apply_batch=lambda x: 2.0 * x)
+        with pytest.raises(ValueError, match="q_sampler"):
+            inv_det_importance(op, DistributionPair.gaussian_q(q_dim, 2.0), EstimatorConfig(1000))

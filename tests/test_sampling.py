@@ -8,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmc.ensembles import EnsembleSpec, generate
+from detmc.estimators import DistributionPair
 import detmc.sampling
 from detmc.sampling import (
     RngStream,
     gaussian_directions,
     gaussian_matrix,
-    log_density_std_gaussian,
     unit_sphere_many,
 )
+
+
+def std_gaussian_log_density(x):
+    """log N(0, I) of ``gaussian_q``, I of the dimension of x's last axis."""
+    return DistributionPair.gaussian_q(np.shape(x)[-1], 1.0).log_p(x)
 
 
 def chi_mean(n):
@@ -114,24 +119,40 @@ def test_sphere_is_normalized_gaussian_of_same_stream():
 
 
 class TestLogDensity:
+    """The Gaussian pair's shared density, N(0, v I), at v = 1 (p) and other v (q)."""
+
     def test_origin(self):
-        assert log_density_std_gaussian(np.zeros(2)) == pytest.approx(
+        assert std_gaussian_log_density(np.zeros(2)) == pytest.approx(
             -math.log(2.0 * math.pi), abs=1e-15
         )
 
     def test_one_dimensional_point(self):
-        got = log_density_std_gaussian(np.array([1.0]))
+        got = std_gaussian_log_density(np.array([1.0]))
         assert got == pytest.approx(-0.5 * math.log(2.0 * math.pi) - 0.5, abs=1e-15)
 
     def test_seeded_vs_direct_formula(self):
         x = gaussian_matrix(RngStream(8, 0), 1, 5)[0]
         direct = -2.5 * math.log(2.0 * math.pi) - 0.5 * sum(v * v for v in x)
-        assert log_density_std_gaussian(x) == pytest.approx(direct, rel=1e-14)
+        assert std_gaussian_log_density(x) == pytest.approx(direct, rel=1e-14)
 
     def test_batch_rows(self):
         x = gaussian_matrix(RngStream(9, 0), 4, 3)
-        batch = log_density_std_gaussian(x)
-        np.testing.assert_allclose(batch, [log_density_std_gaussian(r) for r in x], rtol=1e-15)
+        batch = std_gaussian_log_density(x)
+        np.testing.assert_allclose(batch, [std_gaussian_log_density(r) for r in x], rtol=1e-15)
+
+    @pytest.mark.parametrize("v", [0.5, 2.0])
+    def test_q_density_matches_formula(self, v):
+        n = 3
+        x = gaussian_matrix(RngStream(10, 0), 5, n)
+        direct = [-(n / 2) * math.log(2.0 * math.pi * v) - sum(t * t for t in r) / (2.0 * v)
+                  for r in x]
+        got = DistributionPair.gaussian_q(n, v).log_q(x)
+        np.testing.assert_allclose(got, direct, rtol=1e-14)
+
+    def test_float32_block_is_converted(self):
+        x = gaussian_matrix(RngStream(11, 0), 4, 3).astype(np.float32)
+        log_p = DistributionPair.gaussian_q(3, 1.0).log_p
+        np.testing.assert_array_equal(log_p(x), log_p(x.astype(np.float64)))
 
 
 @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32))
@@ -169,3 +190,9 @@ def test_degenerate_row_is_redrawn_from_the_same_stream(monkeypatch):
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RngStream(-1, 0)
+
+
+@pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (2.9, 0.7), (2.0, 0), (0, 1.0), ("1", 0)])
+def test_non_integer_seed_or_stream_rejected(seed, stream_id):
+    with pytest.raises(ValueError, match="integers"):
+        RngStream(seed, stream_id)
