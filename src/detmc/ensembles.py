@@ -61,6 +61,8 @@ class EnsembleSpec:
             raise InvalidEnsembleError(f"n and seed must be integers, got {self.n!r}, {self.seed!r}")
         if self.n < 1:
             raise InvalidEnsembleError("dimension must be positive")
+        if self.seed < 0:
+            raise InvalidEnsembleError("seed must be non-negative")
         for field, kind in (
             ("scale", "scaled_identity"), ("diag", "diagonal"), ("cond", "ill_conditioned")
         ):

@@ -19,23 +19,29 @@ Applying the sphere formula to a solve-based operator (A maps to A^{-1})
 turns it into an estimator of |det A| itself; that is
 :func:`det_via_inverse_solves`.
 
-The sphere form gets a frame of four directions from each Gaussian row g: g,
-Jg = (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]), the same
-half-swap applied to each half, and JKg.  J and K are fixed signed
-permutations, so every image is standard normal and each direction is
-exactly uniform on the sphere, which is all unbiasedness needs.  When
-4 | n, J, K and JK are also skew, so the four directions are pairwise
-orthogonal; at other n they are not, which only changes the variance.
-The kernel returns the log of the frame's mean weight and the driver folds
-it as one sample, so the standard error is computed over independent
-frames whatever the correlation inside a frame.  ``num_samples`` still
-counts directions: a stream of d directions draws ceil(d / 4) rows and
-weighs the whole frame of its last row, up to 3 directions more than d.
-The trace point at direction p of a stream is the running mean over the
-frames of the earlier streams and the first ceil(p / 4) frames of that
-stream, so the last point is ``log_mean``.  Each stream stores its frames
-column-major, one (n, k) slot per direction, so the half swaps copy whole
-rows of k values, and the norms of column-major images sum such rows.
+The sphere form gets a frame of eight directions from each Gaussian row g:
+g, Jg = (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]), the same
+half-swap applied to each half, and JKg, then the same four maps applied
+after the signed cyclic shift Pg = (-g[n-1], g[0], ..., g[n-2]) (at n = 3,
+where J is itself a shift by one, after the signed reversal (g[2], g[1],
+-g[0]) instead).  Every map is a fixed signed permutation, so every image
+is standard normal and each direction is exactly uniform on the sphere,
+which is all unbiasedness needs.  For n >= 3 the eight are distinct up to
+sign; at n = 2 each direction appears twice.  When 4 | n, J, K and JK are
+also skew, so each group of four directions is pairwise orthogonal; at
+other n they are not, which only changes the variance.  The kernel returns
+the log of the frame's mean weight and the driver folds it as one sample,
+so the standard error is computed over independent frames whatever the
+correlation inside a frame.
+``num_samples`` still counts directions: a stream of d directions draws
+ceil(d / 8) rows and weighs the whole frame of its last row, up to 7
+directions more than d.  The trace point at direction p of a stream is the
+running mean over the frames of the earlier streams and the first
+ceil(p / 8) frames of that stream, so the last point is ``log_mean``.  Each
+stream holds a (2, n, rows) block: g column-major in one slot and each of
+its seven images in turn in the other, so every direction is a column, an
+image copies runs of whole k-long rows of g, and the norms of column-major
+images sum such rows.
 
 Everything is accumulated in log domain: for even modest n the weights span
 ranges that overflow linear float64.  Reported standard errors come from the
@@ -57,6 +63,7 @@ concurrent threads, or the estimate must run with ``num_streams = 1``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -95,8 +102,9 @@ _LOG_HEAVY_TAIL = math.log(1e-150)
 
 _TINY_NORMAL = float(np.finfo(np.float64).tiny)
 
-# directions the sphere kernel weighs per Gaussian row: g, Jg, Kg and JKg
-_FRAME_WIDTH = 4
+# directions the sphere kernel weighs per Gaussian row: g and its images under
+# the seven signed permutations of _frame_runs
+_FRAME_WIDTH = 8
 
 
 class SingularDirectionError(RuntimeError):
@@ -116,9 +124,12 @@ class MatrixFreeOperator:
     image block of any other shape is a ``ValueError``.  Estimators pass
     blocks of at most ``min(16384, max(1, 2**18 // n))`` rows and may call
     ``apply_batch`` from several threads at once.  The block is a read-only
-    view of a buffer the estimator refills on its next chunk, column-major
-    in the sphere estimators: ``apply_batch`` must not write to it (numpy
-    raises ``ValueError``) or keep a reference to it.
+    view of a buffer the estimator refills, on its next chunk or, in the
+    sphere estimators, for the next direction of the same chunk: there every
+    block is column-major and comes from one of two buffers per stream, g's
+    slot or the slot its seven images take in turn.  ``apply_batch`` must
+    not write to the block (numpy raises ``ValueError``) or keep a reference
+    to it.
     """
 
     n: int
@@ -280,13 +291,37 @@ def _apply(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
     return images
 
 
-def _swap_halves(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` = Jx = (x[h:], -x[:h]) row-wise, with h half the row length."""
-    m = x.shape[1]
-    h = m // 2
-    out[:, : m - h] = x[:, h:]
-    np.negative(x[:, :h], out=out[:, m - h:])
-    return out
+@functools.lru_cache
+def _frame_runs(n: int) -> tuple[tuple[tuple[slice, slice, bool], ...], ...]:
+    """The seven images of g after g itself, Jg, Kg, JKg, Pg, JPg, KPg and JKPg,
+    each as the contiguous runs ``(dst, src, negate)`` of its (n, k) slot: rows
+    ``dst`` of the image are rows ``src`` of g, negated when ``negate``."""
+    # a signed permutation is (index, sign) with (M x)[i] = sign[i] * x[index[i]]
+    def half_swap(lo: int, m: int):  # J on x[lo: lo + m]: (x[lo + t:], -x[lo: lo + t])
+        t = m // 2
+        return np.r_[lo + t: lo + m, lo: lo + t], np.r_[np.ones(m - t), -np.ones(t)]
+
+    def after(a, b):  # a after b
+        return b[0][a[0]], a[1] * b[1][a[0]]
+
+    h = n // 2
+    (lo, s_lo), (hi, s_hi) = half_swap(0, h), half_swap(h, n - h)
+    j, k = half_swap(0, n), (np.r_[lo, hi], np.r_[s_lo, -s_hi])
+    # at n = 3 J is a shift by one and the shift P would make JPg = g: P is then
+    # the signed reversal (g[2], g[1], -g[0]), which keeps the eight distinct and
+    # measured the lowest variance per direction of the maps that do
+    p = ((np.r_[2, 1, 0], np.r_[1.0, 1.0, -1.0]) if n == 3 else
+         (np.r_[n - 1, 0: n - 1], np.r_[-1.0, np.ones(n - 1)]))
+    four = [(np.arange(n), np.ones(n)), j, k, after(j, k)]
+    maps = four[1:] + [after(m, p) for m in four]
+    out = []
+    for index, sign in maps:
+        # a run ends where the source row or the sign stops following on
+        cuts = np.flatnonzero((np.diff(index) != 1) | (np.diff(sign) != 0)) + 1
+        bounds = zip(np.r_[0, cuts].tolist(), np.r_[cuts, n].tolist())
+        out.append(tuple((slice(a, b), slice(int(index[a]), int(index[a]) + b - a),
+                          bool(sign[a] < 0)) for a, b in bounds))
+    return tuple(out)
 
 
 def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, frame: np.ndarray | None = None,
@@ -295,29 +330,31 @@ def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, frame: np.ndarr
     """Per-row log of the frame mean of the sphere weight
     w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)).
 
-    The frame is g and its images under fixed signed permutations: Jg =
-    (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]) and JKg.  The
-    four directions of a (k, n) block g are written column-major into
-    ``frame`` when given, a (4, n, k) block (g may live in the memory of
-    ``frame[3]``: it is copied out first); ``sq``, g's squared row norms if
-    known, is overwritten, and so is ``norms``, a (4, k) block.
+    The frame is g and its seven images under fixed signed permutations: Jg
+    = (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]) and JKg, and
+    the same four maps after Pg = (-g[n-1], g[0], ..., g[n-2]) (at n = 3, the
+    signed reversal (g[2], g[1], -g[0]); see :func:`_frame_runs`).  ``frame``,
+    when given, is a (2, n, k) block: g is copied column-major into
+    ``frame[0]`` (g may live in the memory of ``frame[1]``: it is copied out
+    first), and each image in turn is written into ``frame[1]``, applied and
+    reduced to its norms before the next.  ``sq``, g's squared row norms if
+    known, is overwritten, and so is ``norms``, an (8, k) block.
     """
-    n, h, k = op.n, op.n // 2, len(g)
-    q = (n - h) // 2  # half the length of g[h:]
-    frame = np.empty((_FRAME_WIDTH, n, k)) if frame is None else frame
+    n, k = op.n, len(g)
+    frame = np.empty((2, n, k)) if frame is None else frame
     lw = np.empty((_FRAME_WIDTH, k)) if norms is None else norms
     # the maps are orthogonal: one norm serves every direction
     log_r = _row_log_norms(g) if sq is None else np.multiply(np.log(sq, out=sq), 0.5, out=sq)
-    g0, jg, kg, jkg = (x.T for x in frame)  # (k, n) views: every direction is a column
-    np.copyto(g0, g)
-    _swap_halves(g0, jg)
-    _swap_halves(g0[:, :h], kg[:, :h])
-    # -J g[h:] = (-g[h + q:], g[h: h + q])
-    np.negative(g0[:, h + q:], out=kg[:, h: n - q])
-    kg[:, n - q:] = g0[:, h: h + q]
-    _swap_halves(kg, jkg)
-    for x, out in zip(frame, lw):
-        _row_log_norms(_apply(op, x.T), out)  # one image block alive at a time
+    g0, image = frame  # (n, k) slots: every direction is a column
+    np.copyto(g0.T, g)
+    _row_log_norms(_apply(op, g0.T), lw[0])
+    for runs, out in zip(_frame_runs(n), lw[1:]):
+        for dst, src, negate in runs:
+            if negate:
+                np.negative(g0[src], out=image[dst])
+            else:
+                image[dst] = g0[src]
+        _row_log_norms(_apply(op, image.T), out)  # one image block alive at a time
     lw -= log_r
     lw *= -n
     hi = lw.max(axis=0)  # the log of the frame mean, exactly, against its largest weight
@@ -358,18 +395,19 @@ def _trace_grid(num_samples: int, stride: int) -> np.ndarray:
 
 
 def _chunk_rows(n: int) -> int:
-    """Samples per vectorized block: at most 16384 and 2**18 variates (2 MiB of
+    """Rows per vectorized block: at most 16384 and 2**18 variates (2 MiB of
     float64), so memory does not grow with n.  A pure function of n, so
-    results never depend on scheduling."""
+    results never depend on scheduling.  Importance draws this many samples
+    per chunk; the sphere estimators draw a quarter as many Gaussian rows, each
+    weighed in eight directions."""
     return min(16384, max(1, 2**18 // n))
 
 
-def _run_stream(new_weigh, n: int, width: int, config: EstimatorConfig, stream_id: int,
+def _run_stream(new_weigh, rows: int, width: int, config: EstimatorConfig, stream_id: int,
                 per_stream: int, ends: np.ndarray):
-    """Consume one substream of ``per_stream`` samples, ``width`` per weight: its
-    accumulator and the log-total of its weights up to each 1-based weight index
-    in ``ends``."""
-    rows = max(1, _chunk_rows(n) // width)
+    """Consume one substream of ``per_stream`` samples, ``width`` per weight, in
+    chunks of at most ``rows`` drawn rows, one weight each: its accumulator and
+    the log-total of its weights up to each 1-based weight index in ``ends``."""
     total = (per_stream + width - 1) // width
     weigh = new_weigh(min(rows, total))  # owned by this stream for this call only
     rng = RngStream(config.seed, stream_id)
@@ -385,11 +423,13 @@ def _run_stream(new_weigh, n: int, width: int, config: EstimatorConfig, stream_i
     return acc, values
 
 
-def _run(new_weigh, n: int, config: EstimatorConfig, width: int = 1) -> EstimateResult:
+def _run(new_weigh, n: int, config: EstimatorConfig, rows: int, width: int = 1
+         ) -> EstimateResult:
     """Fold ``weigh(rng, k)``, k log-weights each the mean over ``width`` samples,
     until every stream has covered its share of ``config.num_samples``.  Each
-    stream gets its own ``weigh = new_weigh(rows)``, called with k <= rows, so
-    the blocks a ``weigh`` refills belong to one stream of one call."""
+    stream gets its own ``weigh = new_weigh(r)``, r = min(rows, the stream's
+    weights), called with k <= r, so the blocks a ``weigh`` refills belong to
+    one stream of one call."""
     per_stream = config.num_samples // config.num_streams
     weights = (per_stream + width - 1) // width  # folded by each stream
     stride = config.trace_stride
@@ -401,7 +441,7 @@ def _run(new_weigh, n: int, config: EstimatorConfig, width: int = 1) -> Estimate
             for j in range(config.num_streams)]
 
     def run(j: int):
-        return _run_stream(new_weigh, n, width, config, j, per_stream, ends[j])
+        return _run_stream(new_weigh, rows, width, config, j, per_stream, ends[j])
 
     # stream 0 on this thread, so a 1-stream call starts no thread; an exception
     # in any stream is raised once the pool has finished every other stream
@@ -436,16 +476,16 @@ def _run(new_weigh, n: int, config: EstimatorConfig, width: int = 1) -> Estimate
 def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateResult:
     """Estimate the reciprocal absolute determinant of the map ``op`` realizes.
 
-    Averages ||op(s)||^{-n} over uniform unit-sphere directions, four per
+    Averages ||op(s)||^{-n} over uniform unit-sphere directions, eight per
     Gaussian draw (see the module docstring).  Unbiased; zero-variance on
     orthogonal maps.
     """
 
     def new_weigh(rows: int):
-        # this stream's frame block, one (n, rows) slot per direction, and its norms,
-        # refilled by every chunk; glibc keeps the one large allocation in the heap
+        # this stream's (2, n, rows) frame block and its norms, refilled by every chunk;
+        # glibc keeps the one large allocation in the heap
         n, sq, lw = op.n, np.empty(rows), np.empty((_FRAME_WIDTH, rows))
-        frame = np.empty((_FRAME_WIDTH, n, rows))
+        frame = np.empty((2, n, rows))
         last = frame[-1].reshape(-1)  # holds the draw's C-ordered (k, n) block until it is copied
 
         def weigh(rng: RngStream, k: int):
@@ -454,7 +494,9 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
 
         return weigh
 
-    return _run(new_weigh, op.n, config, width=_FRAME_WIDTH)
+    # a quarter of _chunk_rows(n) Gaussian rows per chunk: the frame block and one
+    # image hold 3/4 of the 2 MiB of variates a chunk may hold
+    return _run(new_weigh, op.n, config, max(1, _chunk_rows(op.n) // 4), width=_FRAME_WIDTH)
 
 
 def inv_det_importance(
@@ -469,7 +511,7 @@ def inv_det_importance(
                              f"got shape {np.shape(x)}")
         return importance_log_weights(op, dist, x)
 
-    return _run(lambda rows: weigh, op.n, config)
+    return _run(lambda rows: weigh, op.n, config, _chunk_rows(op.n))
 
 
 def det_via_inverse_solves(

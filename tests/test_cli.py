@@ -44,9 +44,9 @@ class TestEstimate:
         assert s["heavy_tail"] == "false"
         assert s["low_count"] == "false"
 
-    @pytest.mark.parametrize("n, samples", [(3, 2), (4, 2), (4, 4), (3, 4)])
+    @pytest.mark.parametrize("n, samples", [(3, 2), (4, 2), (4, 4), (3, 4), (3, 8), (10, 8)])
     def test_single_folded_weight_is_low_count(self, capsys, n, samples):
-        # up to four directions are one frame, at every n, and fold a single weight:
+        # up to eight directions are one frame, at every n, and fold a single weight:
         # its std_error of 0 says nothing about the spread, so the flag is printed
         code = run_cli(
             "estimate", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",

@@ -102,6 +102,8 @@ def test_matrix_draws_do_not_consume_estimator_streams():
         dict(kind="gaussian_iid", n=3.0),
         dict(kind="gaussian_iid", n=3, seed=1.5),
         dict(kind="orthogonal", n=3, seed="1"),
+        # a negative seed would fail in RngStream with a plain ValueError
+        dict(kind="gaussian_iid", n=3, seed=-1),
     ],
 )
 def test_invalid_specs_rejected(kwargs):

@@ -106,16 +106,16 @@ class TestSphereEstimator:
 
         monkeypatch.setattr(detmc.sampling, "gaussian_matrix", zero_first_row_of_first_block)
         r = inv_det_sphere(operator_from_matrix(DenseMatrix(np.eye(2))), EstimatorConfig(50))
-        assert calls == [13]  # 50 directions, four per drawn row
+        assert calls == [7]  # 50 directions, eight per drawn row
         assert r.log_mean == 0.0
         assert r.std_error == 0.0
 
     @pytest.mark.parametrize(
         "num_samples, num_streams, rows",
-        # rows drawn per stream, ceil(d / 4) for d directions, at n = 3, 4 and 8
-        [(10, 1, [3]), (11, 1, [3]), (10, 2, [2, 2])],
+        # rows drawn per stream, ceil(d / 8) for d directions, at n = 3, 4 and 8
+        [(16, 1, [2]), (17, 1, [3]), (18, 2, [2, 2])],
     )
-    def test_four_directions_per_drawn_row(self, monkeypatch, num_samples, num_streams, rows):
+    def test_eight_directions_per_drawn_row(self, monkeypatch, num_samples, num_streams, rows):
         real = detmc.sampling.gaussian_matrix
         drawn = {}
 
@@ -134,31 +134,45 @@ class TestSphereEstimator:
                 assert [drawn[j] for j in range(num_streams)] == rows, n
 
     @pytest.mark.parametrize("n", [*range(1, 34), 400])
-    def test_frame_of_four_is_orthogonal_signed_permutations(self, n):
+    def test_frame_of_eight_is_signed_permutations_orthogonal_in_fours(self, n):
         # every image of g is a signed permutation of it, so standard normal and
-        # exactly uniform in direction; when 4 | n the four are also orthogonal
-        identity = MatrixFreeOperator(n, lambda x: x.copy())
-        frame = np.empty((_FRAME_WIDTH, n, n))
-        # column j of frame[i] is the image of e_j, so frame[i] is the map itself
-        assert np.all(sphere_log_weights(identity, np.eye(n), frame=frame) == 0.0)
-        np.testing.assert_array_equal(frame[0], np.eye(n))
-        for q in frame[1:]:
+        # exactly uniform in direction; when 4 | n each group of four is orthogonal
+        blocks = []
+        recording = MatrixFreeOperator(n, lambda x: blocks.append(x.copy()) or x.copy())
+        # row j of each block is the image of e_j, so the block is its map transposed
+        assert np.all(sphere_log_weights(recording, np.eye(n)) == 0.0)
+        maps = [b.T for b in blocks]
+        assert len(maps) == _FRAME_WIDTH
+        np.testing.assert_array_equal(maps[0], np.eye(n))
+        for q in maps:
             assert set(np.unique(q)) <= {-1.0, 0.0, 1.0}
             assert np.all(np.abs(q).sum(axis=0) == 1) and np.all(np.abs(q).sum(axis=1) == 1)
-            if n % 4 == 0:
-                np.testing.assert_array_equal(q.T, -q)  # skew: each image is orthogonal to g
-        if n % 4:
-            return
-        g, frame = gaussian_matrix(RngStream(8, 0), 64, n), np.empty((_FRAME_WIDTH, n, 64))
-        sphere_log_weights(identity, g, frame=frame)
-        np.testing.assert_array_equal(frame[0], g.T)
-        gram = np.einsum("aik,bik->kab", frame, frame)
-        sq = np.einsum("ki,ki->k", g, g)
-        off = gram - sq[:, None, None] * np.eye(4)
-        assert np.all(np.abs(off) <= 1e-12 * sq[:, None, None])
+        if n >= 3:  # distinct up to sign
+            for a in range(_FRAME_WIDTH):
+                for b in range(a):
+                    assert not np.array_equal(maps[a], maps[b])
+                    assert not np.array_equal(maps[a], -maps[b])
+        if n % 4 == 0:
+            for four in (maps[:4], maps[4:]):
+                for a in range(4):
+                    for b in range(a):
+                        c = four[b].T @ four[a]  # skew: M_b g is orthogonal to M_a g
+                        np.testing.assert_array_equal(c.T, -c)
+        # the eight blocks of one row block of Gaussian rows are those maps' images
+        blocks.clear()
+        g = gaussian_matrix(RngStream(8, 0), 64, n)
+        sphere_log_weights(recording, g)
+        for block, q in zip(blocks, maps, strict=True):
+            np.testing.assert_array_equal(block, g @ q.T)
+        if n % 4 == 0:
+            sq = np.einsum("ki,ki->k", g, g)
+            for four in (blocks[:4], blocks[4:]):
+                gram = np.einsum("aki,bki->kab", four, four)
+                off = gram - sq[:, None, None] * np.eye(4)
+                assert np.all(np.abs(off) <= 1e-12 * sq[:, None, None])
 
     def test_each_stream_refills_two_read_only_blocks(self):
-        # the draw block and its three images, at n = 3, 8 and 10
+        # the g slot and the image slot of the frame block, at n = 3, 8 and 10
         for n in (3, 8, 10):
             m = well_conditioned(n, seed=4).data
             seen = []
@@ -167,11 +181,11 @@ class TestSphereEstimator:
                 seen.append((byte_bounds(x)[0], x.flags.writeable))
                 return x @ m.T
 
-            # four full chunks of _chunk_rows(n) directions and one of a single row
-            cfg = EstimatorConfig(4 * _chunk_rows(n) + 2, seed=5)
+            # four full chunks of _chunk_rows(n) // 4 rows and one of a single row
+            cfg = EstimatorConfig(_FRAME_WIDTH * _chunk_rows(n) + 2, seed=5)
             inv_det_sphere(MatrixFreeOperator(n, apply_batch), cfg)
             assert len(seen) == _FRAME_WIDTH * 5  # every direction block of every chunk
-            assert len({start for start, _ in seen}) <= _FRAME_WIDTH
+            assert len({start for start, _ in seen}) <= 2
             assert not any(writeable for _, writeable in seen)
 
     @pytest.mark.parametrize("n, num_streams", [pytest.param(10, 1, id="1"),
@@ -197,7 +211,7 @@ class TestSphereEstimator:
 
         monkeypatch.setattr(detmc.sampling, "gaussian_matrix", draw)
         monkeypatch.setattr(detmc.estimators, "sphere_log_weights", weigh)
-        rows = _chunk_rows(n) // _FRAME_WIDTH
+        rows = _chunk_rows(n) // 4
         # per stream: two full chunks and one of a single row
         cfg = EstimatorConfig(num_streams * (_FRAME_WIDTH * (2 * rows + 1)), seed=6,
                               num_streams=num_streams)
@@ -215,11 +229,11 @@ class TestSphereEstimator:
             assert sorted(len(g) for _, g in weighs) == want
 
     def test_peak_memory_is_the_frame_block_and_one_image(self):
-        # a 1-stream call at n = 10 holds its (4, n, rows) frame block and one
-        # image block at a time; the slack is eight rows-long vectors: the (4, rows)
+        # a 1-stream call at n = 10 holds its (2, n, rows) frame block and one
+        # image block at a time; the slack is twelve rows-long vectors: the (8, rows)
         # norm block, the draw's squared norms and the kernel's temporaries
         n = 10
-        rows = _chunk_rows(n) // _FRAME_WIDTH
+        rows = _chunk_rows(n) // 4
         op = operator_from_matrix(well_conditioned(n, seed=3))
         cfg = EstimatorConfig(3 * _FRAME_WIDTH * rows, seed=5)
         inv_det_sphere(op, cfg)
@@ -229,7 +243,7 @@ class TestSphereEstimator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block, image, slack = 8 * _FRAME_WIDTH * n * rows, 8 * n * rows, 8 * 8 * rows
+        block, image, slack = 8 * 2 * n * rows, 8 * n * rows, 8 * 12 * rows
         assert peak <= block + image + slack
 
     @pytest.mark.parametrize("diag", [[1e170, 1e-170, 1.0, 1.0], [1e-170] * 4,
@@ -246,10 +260,14 @@ class TestSphereEstimator:
         def swap(v):
             return np.concatenate([v[len(v) // 2:], -v[: len(v) // 2]])
 
+        def fours(v):
+            kv = np.concatenate([swap(v[:h]), -swap(v[h:])])
+            return [v, swap(v), kv, swap(kv)]
+
         for row, got in zip(g, sphere_log_weights(op, g)):
-            kg = np.concatenate([swap(row[:h]), -swap(row[h:])])
+            frame = fours(row) + fours(np.concatenate([-row[-1:], row[:-1]]))
             w = [-n * (math.log(math.hypot(*(diag * d))) - math.log(math.hypot(*row)))
-                 for d in (row, swap(row), kg, swap(kg))]
+                 for d in frame]
             top = max(w)
             want = top + math.log(math.fsum(math.exp(x - top) for x in w) / _FRAME_WIDTH)
             assert got == pytest.approx(want, rel=1e-12)
@@ -266,23 +284,25 @@ class TestSphereEstimator:
         assert column_major.std_error == pytest.approx(c_order.std_error, rel=1e-12)
         np.testing.assert_allclose(column_major.trace, c_order.trace, rtol=1e-12)
 
-    def test_perfectly_correlated_fours_count_once(self):
-        # A = diag(d, d, d, d) is also invariant under K: all four images of g
-        # weigh the same at n = 8
-        assert_frames_count_once([0.7, 1.3] * 4)
+    @pytest.mark.parametrize("n", [3, 8, 10])
+    def test_perfectly_correlated_eights_count_once(self, n):
+        # each row is scaled by a function of its sorted absolute entries, which no
+        # signed permutation changes: all eight images of g weigh the same, and the
+        # estimate is the mean and standard error of the 2001 drawn directions g alone
+        c = np.linspace(0.5, 2.0, n)
 
+        def scale(x):
+            s = np.sort(np.abs(x), axis=1)
+            return (s @ c) / s.sum(axis=1)
 
-def assert_frames_count_once(diag):
-    """The sphere estimate on diag(diag), whose frames weigh the same in every
-    direction, is the mean and standard error of the 2001 drawn directions g alone."""
-    m, n = DenseMatrix(np.diag(diag)), len(diag)
-    cfg = EstimatorConfig(_FRAME_WIDTH * 2001 - (_FRAME_WIDTH - 1), seed=7)
-    r = inv_det_sphere(operator_from_matrix(m), cfg)
-    g = gaussian_directions(RngStream(7, 0), 2001, n)
-    w = -n * (np.log(np.linalg.norm(g @ m.data.T, axis=1)) - np.log(np.linalg.norm(g, axis=1)))
-    log_mean, std_error = streaming_log_mean(w)
-    assert r.log_mean == pytest.approx(log_mean, rel=1e-12)
-    assert r.std_error == pytest.approx(std_error, rel=1e-9)
+        op = MatrixFreeOperator(n, lambda x: x * scale(x)[:, np.newaxis])
+        cfg = EstimatorConfig(_FRAME_WIDTH * 2001 - (_FRAME_WIDTH - 1), seed=7)
+        r = inv_det_sphere(op, cfg)
+        g = gaussian_directions(RngStream(7, 0), 2001, n)
+        w = -n * np.log(scale(g))
+        log_mean, std_error = streaming_log_mean(w)
+        assert r.log_mean == pytest.approx(log_mean, rel=1e-12)
+        assert r.std_error == pytest.approx(std_error, rel=1e-9)
 
 
 class TestInverseSolveEstimator:
@@ -497,9 +517,9 @@ class TestInvariants:
     def test_std_error_is_calibrated_over_seeds(self, matrix, inverse):
         """z = (mean - target) / std_error over 200 seeds has sd near 1, at n not a
         multiple of 4 (tiled_n6, ill_conditioned at n = 10), whose frames are not
-        orthogonal, and also when every direction of a frame weighs the same:
-        counting the 2 x 4002 directions of perfect_fours (n = 8) as independent
-        would give sd near 2."""
+        orthogonal in fours, and also when every direction of a group of four
+        weighs the same: counting the 2 x 8004 directions of perfect_fours (n = 8)
+        as independent would give sd of 2 or more."""
         log_det = oracle_log_det(matrix)
         z = []
         for seed in range(200):
@@ -552,34 +572,34 @@ class TestStreams:
 
     @pytest.mark.parametrize(
         "estimator, n, num_streams, want",
-        # the column-major frame moved four pins at rounding level; was:
-        #   sphere-10-1      std_error 0x1.8248b20847678p-11
-        #   sphere-16-1      std_error 0x1.870943ce17353p-30
-        #   sphere-16-2      std_error 0x1.832006dd3e5a2p-29
-        #   importance-10-2  ("-0x1.a6b015fd0bd8ap+2", "0x1.21711dddc6fc0p-11",
-        #                     "-0x1.a6b015fd0bd8ap+2")
+        # frames of eight moved every sphere pin; was (frames of four, column-major):
+        #   sphere-10-1  ("-0x1.8dc21e57cf3abp+2", "0x1.8248b20847676p-11")
+        #   sphere-10-2  ("-0x1.a15e36b8c181fp+2", "0x1.5ec4cb93118f3p-11")
+        #   sphere-16-1  ("-0x1.25ec296ed1ca4p+4", "0x1.870943ce17352p-30")
+        #   sphere-16-2  ("-0x1.22fe5fe990aa2p+4", "0x1.832006dd3e5b3p-29")
         [
-            ("sphere", 10, 1, ("-0x1.8dc21e57cf3abp+2", "0x1.8248b20847676p-11",
-                               "-0x1.8dc21e57cf3acp+2",
-                               "fc3cf70f19c8f745c97504e4062016269f9972d7")),
-            ("sphere", 10, 2, ("-0x1.a15e36b8c181fp+2", "0x1.5ec4cb93118f3p-11",
-                               "-0x1.a15e36b8c1820p+2",
-                               "fb1a5c45aadad9967247ab4507eaa6cba000d7dc")),
-            ("sphere", 16, 1, ("-0x1.25ec296ed1ca4p+4", "0x1.870943ce17352p-30",
-                               "-0x1.25ec296ed1ca4p+4",
-                               "e5047ee8f5247ce4feaf2e786bf5a7242df0f564")),
-            ("sphere", 16, 2, ("-0x1.22fe5fe990aa2p+4", "0x1.832006dd3e5b3p-29",
-                               "-0x1.22fe5fe990aa2p+4",
-                               "35422fffece9454983407064bf33caf26e795b10")),
+            ("sphere", 10, 1, ("-0x1.9febac4eca9e0p+2", "0x1.604e3a5d57461p-11",
+                               "-0x1.9febac4eca9e0p+2",
+                               "7f420d03bd152bafd4440f39e425b0200b9ca00f")),
+            ("sphere", 10, 2, ("-0x1.bf892fe572f03p+2", "0x1.2ccf015df68fdp-12",
+                               "-0x1.bf892fe572f04p+2",
+                               "83bb2291e90127b4b6db753d23959b18efb995b1")),
+            ("sphere", 16, 1, ("-0x1.2907272632f3fp+4", "0x1.118d1930e14e2p-30",
+                               "-0x1.2907272632f3fp+4",
+                               "1f1a2239461f5652e1570ab51b8685afaefbfdab")),
+            ("sphere", 16, 2, ("-0x1.2915fc9ea9444p+4", "0x1.54eb177d22469p-30",
+                               "-0x1.2915fc9ea9444p+4",
+                               "1f94732b434396c3b3cff079768b82e9b98936e6")),
             ("importance", 10, 2, ("-0x1.a6b015fd0bd8cp+2", "0x1.21711dddc6fb9p-11",
                                    "-0x1.a6b015fd0bd8bp+2",
                                    "443028d7e16cd03a913880671a236b7e25ac166b")),
         ],
     )
     def test_seeded_bits_pinned_up_to_n_16(self, estimator, n, num_streams, want):
-        # n <= 16 keeps 16384-sample chunks: these bits move only with a release
-        # note (n = 16 moved when 4 | n took frames of four, n = 10 when every n did,
-        # and both at rounding level with the column-major frame)
+        # n <= 16 keeps the largest chunks (_chunk_rows(n) = 16384): these bits
+        # move only with a release note (n = 16 moved when 4 | n took frames of
+        # four, n = 10 when every n did, both at rounding level with the
+        # column-major frame, and both with frames of eight)
         op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=1)))
         cfg = EstimatorConfig(40_000, seed=3, num_streams=num_streams, trace_stride=997)
         if estimator == "sphere":
@@ -619,7 +639,8 @@ class TestStreams:
         frames = -(-per_stream // width)
         w = np.concatenate([
             sphere_log_weights(op, gaussian_directions(rng, k, n))
-            for rng, k in chunked_streams(cfg.seed, num_streams, per_stream, n, width=width)
+            for rng, k in chunked_streams(cfg.seed, num_streams, per_stream,
+                                          max(1, _chunk_rows(n) // 4), width=width)
         ])
         want = running_log_means(w)
         grid = list(range(stride, num_samples + 1, stride))
@@ -653,7 +674,7 @@ class TestStreams:
         dist = pair()
         w = np.concatenate([
             importance_log_weights(op, dist, dist.q_sampler(rng, k))
-            for rng, k in chunked_streams(2, 1, num_samples, 3)
+            for rng, k in chunked_streams(2, 1, num_samples, _chunk_rows(3))
         ])
         want = running_log_means(w)
         first_positive = int(np.argmax(w > -math.inf))
@@ -692,10 +713,10 @@ class TestStreams:
             assert running == pytest.approx(want[index - 1], rel=1e-12)
 
 
-def chunked_streams(seed, num_streams, per_stream, n, width=1):
-    """(rng, k) for each block of k weights, ``width`` samples each, that the driver
-    draws at dimension n, in stream then chunk order."""
-    rows, total = max(1, _chunk_rows(n) // width), -(-per_stream // width)
+def chunked_streams(seed, num_streams, per_stream, rows, width=1):
+    """(rng, k) for each block of k <= rows weights, ``width`` samples each, that the
+    driver draws, in stream then chunk order."""
+    total = -(-per_stream // width)
     for j in range(num_streams):
         rng = RngStream(seed, j)
         for done in range(0, total, rows):
