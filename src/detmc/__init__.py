@@ -21,7 +21,6 @@ from .estimators import (
     inv_det_importance,
     inv_det_sphere,
     operator_from_matrix,
-    solve_operator,
 )
 from .linalg import (
     DenseMatrix,
@@ -62,5 +61,4 @@ __all__ = [
     "lu_factorize",
     "operator_from_matrix",
     "save_matrix",
-    "solve_operator",
 ]

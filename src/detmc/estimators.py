@@ -86,7 +86,6 @@ __all__ = [
     "SingularDirectionError",
     "UnsupportedSampleError",
     "operator_from_matrix",
-    "solve_operator",
     "inv_det_sphere",
     "inv_det_importance",
     "det_via_inverse_solves",
@@ -147,12 +146,6 @@ def operator_from_matrix(m: DenseMatrix) -> MatrixFreeOperator:
     data = m.data
     # one GEMM whose images come back column-major, as the sphere kernel stores its blocks
     return MatrixFreeOperator(n=m.n, apply_batch=lambda xs: (data @ xs.T).T)
-
-
-def solve_operator(m: DenseMatrix | LUFactorization) -> MatrixFreeOperator:
-    """Inverse operator v -> A^{-1} v backed by one LU factorization."""
-    f = lu_factorize(m) if isinstance(m, DenseMatrix) else m
-    return MatrixFreeOperator(n=f.n, apply_batch=lambda xs: lu_solve_many(f, xs))
 
 
 @dataclass(frozen=True)
@@ -325,8 +318,7 @@ def _frame_runs(n: int) -> tuple[tuple[tuple[slice, slice, bool], ...], ...]:
 
 
 def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, frame: np.ndarray | None = None,
-                       sq: np.ndarray | None = None, norms: np.ndarray | None = None
-                       ) -> np.ndarray:
+                       norms: np.ndarray | None = None) -> np.ndarray:
     """Per-row log of the frame mean of the sphere weight
     w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)).
 
@@ -337,14 +329,15 @@ def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, frame: np.ndarr
     when given, is a (2, n, k) block: g is copied column-major into
     ``frame[0]`` (g may live in the memory of ``frame[1]``: it is copied out
     first), and each image in turn is written into ``frame[1]``, applied and
-    reduced to its norms before the next.  ``sq``, g's squared row norms if
-    known, is overwritten, and so is ``norms``, an (8, k) block.
+    reduced to its norms before the next.  ``norms``, an (8, k) block, is
+    overwritten.
     """
     n, k = op.n, len(g)
     frame = np.empty((2, n, k)) if frame is None else frame
     lw = np.empty((_FRAME_WIDTH, k)) if norms is None else norms
-    # the maps are orthogonal: one norm serves every direction
-    log_r = _row_log_norms(g) if sq is None else np.multiply(np.log(sq, out=sq), 0.5, out=sq)
+    # the maps are orthogonal: one norm serves every direction; taken on g before
+    # an image overwrites frame[1], where g may live
+    log_r = _row_log_norms(g)
     g0, image = frame  # (n, k) slots: every direction is a column
     np.copyto(g0.T, g)
     _row_log_norms(_apply(op, g0.T), lw[0])
@@ -403,26 +396,6 @@ def _chunk_rows(n: int) -> int:
     return min(16384, max(1, 2**18 // n))
 
 
-def _run_stream(new_weigh, rows: int, width: int, config: EstimatorConfig, stream_id: int,
-                per_stream: int, ends: np.ndarray):
-    """Consume one substream of ``per_stream`` samples, ``width`` per weight, in
-    chunks of at most ``rows`` drawn rows, one weight each: its accumulator and
-    the log-total of its weights up to each 1-based weight index in ``ends``."""
-    total = (per_stream + width - 1) // width
-    weigh = new_weigh(min(rows, total))  # owned by this stream for this call only
-    rng = RngStream(config.seed, stream_id)
-    acc = StreamingAccumulator()
-    values = np.empty(ends.size)
-    done = 0
-    while done < total:
-        k = min(rows, total - done)
-        w = weigh(rng, k)
-        lo, hi = np.searchsorted(ends, (done, done + k), side="right")
-        values[lo:hi] = acc.update_many(w, at=ends[lo:hi] - done - 1)
-        done += k
-    return acc, values
-
-
 def _run(new_weigh, n: int, config: EstimatorConfig, rows: int, width: int = 1
          ) -> EstimateResult:
     """Fold ``weigh(rng, k)``, k log-weights each the mean over ``width`` samples,
@@ -441,7 +414,17 @@ def _run(new_weigh, n: int, config: EstimatorConfig, rows: int, width: int = 1
             for j in range(config.num_streams)]
 
     def run(j: int):
-        return _run_stream(new_weigh, rows, width, config, j, per_stream, ends[j])
+        """Fold stream j's weights in chunks of at most ``rows``: its accumulator
+        and the log-total of its weights up to each of its ``ends``."""
+        weigh = new_weigh(min(rows, weights))  # owned by this stream for this call only
+        rng, acc, at = RngStream(config.seed, j), StreamingAccumulator(), ends[j]
+        values = np.empty(at.size)
+        for done in range(0, weights, rows):
+            k = min(rows, weights - done)
+            w = weigh(rng, k)
+            lo, hi = np.searchsorted(at, (done, done + k), side="right")
+            values[lo:hi] = acc.update_many(w, at=at[lo:hi] - done - 1)
+        return acc, values
 
     # stream 0 on this thread, so a 1-stream call starts no thread; an exception
     # in any stream is raised once the pool has finished every other stream
@@ -484,13 +467,13 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
     def new_weigh(rows: int):
         # this stream's (2, n, rows) frame block and its norms, refilled by every chunk;
         # glibc keeps the one large allocation in the heap
-        n, sq, lw = op.n, np.empty(rows), np.empty((_FRAME_WIDTH, rows))
+        n, lw = op.n, np.empty((_FRAME_WIDTH, rows))
         frame = np.empty((2, n, rows))
         last = frame[-1].reshape(-1)  # holds the draw's C-ordered (k, n) block until it is copied
 
         def weigh(rng: RngStream, k: int):
-            g = sampling.gaussian_directions(rng, k, n, out=last[: k * n].reshape(k, n), sq=sq[:k])
-            return sphere_log_weights(op, g, frame=frame[:, :, :k], sq=sq[:k], norms=lw[:, :k])
+            g = sampling.gaussian_directions(rng, k, n, out=last[: k * n].reshape(k, n))
+            return sphere_log_weights(op, g, frame=frame[:, :, :k], norms=lw[:, :k])
 
         return weigh
 
@@ -523,5 +506,6 @@ def det_via_inverse_solves(
     costs one product with the inverse.  Raises
     :class:`~detmc.linalg.SingularMatrixError` for rank-deficient input.
     """
-    return inv_det_sphere(solve_operator(m), config)
+    f = lu_factorize(m) if isinstance(m, DenseMatrix) else m
+    return inv_det_sphere(MatrixFreeOperator(f.n, lambda xs: lu_solve_many(f, xs)), config)
 

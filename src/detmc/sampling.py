@@ -14,7 +14,9 @@ Uniform sphere directions are normalized Gaussian vectors: the polar
 decomposition g = r s (chi-distributed radius times direction).  The sphere
 estimator's weight is invariant to the radius, so it weighs the unnormalised
 Gaussian rows of :func:`gaussian_directions` directly; :func:`unit_sphere_many`
-divides the same rows by their norms.
+divides the same rows by their norms.  Only an all-zero row is degenerate,
+having no direction; any other row is kept.  A nonzero ziggurat variate is
+an integer multiple of a fixed layer width, far above 1e-150.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ __all__ = [
     "gaussian_directions",
     "unit_sphere_many",
 ]
-
-# norms below this are resampled rather than divided by; the probability of
-# an n-dimensional Gaussian landing this close to the origin is ~1e-150^n
-_DEGENERATE_NORM = 1e-150
 
 
 class RngStream:
@@ -70,21 +68,19 @@ def gaussian_matrix(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = 
     return rng.generator.standard_normal((k, n), out=out)
 
 
-def gaussian_directions(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = None,
-                        sq: np.ndarray | None = None) -> np.ndarray:
-    """(k, n) Gaussian block with no row shorter than 1e-150, written into
-    ``out`` when given (see :func:`gaussian_matrix`); the rows' squared norms
-    are written into ``sq``, a (k,) float64 array, when given.
+def gaussian_directions(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = None
+                        ) -> np.ndarray:
+    """(k, n) Gaussian block with no all-zero row, written into ``out`` when
+    given (see :func:`gaussian_matrix`).
 
-    A shorter row (the ziggurat can return an exact 0.0, so at n = 1 a zero
-    row is possible) is redrawn in place from the same stream.
+    The ziggurat can return an exact 0.0, so at n = 1 a zero row is
+    possible: each zero row is redrawn in place, in row order, from the same
+    stream.  Every other row is kept, however short.
     """
     g = gaussian_matrix(rng, k, n, out=out)
-    sq = np.einsum("ij,ij->i", g, g, out=sq)
-    while (bad := np.flatnonzero(np.sqrt(sq) < _DEGENERATE_NORM)).size:
-        for i in bad:
+    while not g.all() and (zero := np.flatnonzero(~g.any(axis=1))).size:
+        for i in zero:
             g[i] = rng.generator.standard_normal(n)
-        sq[bad] = np.einsum("ij,ij->i", g[bad], g[bad])
     return g
 
 

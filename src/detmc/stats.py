@@ -118,7 +118,7 @@ class StreamingAccumulator:
             self.count += count
             return
         if max_log > self.max_log:
-            c = _exp_or_inf(self.max_log - max_log) if self.count else 0.0
+            c = math.exp(self.max_log - max_log) if self.count else 0.0  # exponent < 0: no overflow
             self.shifted_sum = self.shifted_sum * c + s
             self.shifted_sum_sq = self.shifted_sum_sq * c * c + s2
             self.max_log = max_log

@@ -28,7 +28,6 @@ from detmc.estimators import (
     inv_det_importance,
     inv_det_sphere,
     operator_from_matrix,
-    solve_operator,
     sphere_log_weights,
 )
 from detmc.linalg import DenseMatrix, SingularMatrixError, log_abs_det, lu_factorize, lu_solve_many
@@ -231,7 +230,7 @@ class TestSphereEstimator:
     def test_peak_memory_is_the_frame_block_and_one_image(self):
         # a 1-stream call at n = 10 holds its (2, n, rows) frame block and one
         # image block at a time; the slack is twelve rows-long vectors: the (8, rows)
-        # norm block, the draw's squared norms and the kernel's temporaries
+        # norm block and the kernel's temporaries, g's log-norms among them
         n = 10
         rows = _chunk_rows(n) // 4
         op = operator_from_matrix(well_conditioned(n, seed=3))
@@ -446,12 +445,12 @@ class TestInvariants:
                 -8 * math.log(c), abs=1e-12
             )
 
-    def test_reciprocity_solve_operator_is_inverse_solve_estimator(self):
+    def test_reciprocity_inverse_solve_estimator_is_sphere_on_solves(self):
         m = generate(EnsembleSpec("gaussian_iid", n=6, seed=17))
         cfg = EstimatorConfig(2000, seed=9)
-        direct = det_via_inverse_solves(m, cfg)
-        via_operator = inv_det_sphere(solve_operator(m), cfg)
-        assert direct == via_operator
+        f = lu_factorize(m)
+        solves = MatrixFreeOperator(6, lambda xs: lu_solve_many(f, xs))
+        assert det_via_inverse_solves(m, cfg) == inv_det_sphere(solves, cfg)
 
     def test_reciprocity_against_dense_inverse(self):
         m = generate(EnsembleSpec("gaussian_iid", n=6, seed=17))
@@ -460,7 +459,7 @@ class TestInvariants:
         inverse_rows = lu_solve_many(f, np.eye(6))  # row i solves A x = e_i
         dense_inverse = DenseMatrix(inverse_rows.T)
         s = unit_sphere_many(RngStream(9, 0), 2000, 6)
-        w_solve = sphere_log_weights(solve_operator(f), s)
+        w_solve = sphere_log_weights(MatrixFreeOperator(6, lambda xs: lu_solve_many(f, xs)), s)
         w_dense = sphere_log_weights(operator_from_matrix(dense_inverse), s)
         np.testing.assert_allclose(w_solve, w_dense, rtol=1e-8)
         assert det_via_inverse_solves(m, cfg).log_mean == pytest.approx(

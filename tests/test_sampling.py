@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmc.ensembles import EnsembleSpec, generate
-from detmc.estimators import DistributionPair
+from detmc.estimators import (
+    DistributionPair,
+    EstimatorConfig,
+    inv_det_sphere,
+    operator_from_matrix,
+    sphere_log_weights,
+)
 import detmc.sampling
 from detmc.sampling import (
     RngStream,
@@ -169,7 +175,7 @@ def test_positive_dimension_required(bad_n):
 
 
 def test_degenerate_row_is_redrawn_from_the_same_stream(monkeypatch):
-    """A row shorter than 1e-150 becomes the next row of the same stream."""
+    """An all-zero row becomes the next row of the same stream."""
     real = detmc.sampling.gaussian_matrix
 
     def zero_row_1(rng, k, n, **kwargs):
@@ -178,13 +184,34 @@ def test_degenerate_row_is_redrawn_from_the_same_stream(monkeypatch):
         return g
 
     monkeypatch.setattr(detmc.sampling, "gaussian_matrix", zero_row_1)
-    sq = np.empty(3)
-    got = gaussian_directions(RngStream(12, 0), 3, 4, sq=sq)
+    got = gaussian_directions(RngStream(12, 0), 3, 4)
     want = real(RngStream(12, 0), 4, 4)
     np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
     np.testing.assert_array_equal(got[1], want[3])
-    # the squared norms handed out are those of the redrawn block, to the bit
-    np.testing.assert_array_equal(sq, np.einsum("ij,ij->i", got, got))
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_tiny_row_is_kept_and_weighed_like_its_direction(monkeypatch, n):
+    """A row 1e-200 g0 has g0's direction: it is kept, not redrawn, and the
+    sphere estimator weighs it as it weighs g0, to rounding."""
+    real = detmc.sampling.gaussian_matrix
+    op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=4)))
+    cfg = EstimatorConfig(4 * 8, seed=12)
+    want = inv_det_sphere(op, cfg)
+
+    def tiny_row_0(rng, k, n, **kwargs):
+        g = real(rng, k, n, **kwargs)
+        g[0] *= 1e-200
+        return g
+
+    monkeypatch.setattr(detmc.sampling, "gaussian_matrix", tiny_row_0)
+    got = gaussian_directions(RngStream(12, 0), 3, n)
+    g0 = real(RngStream(12, 0), 3, n)
+    np.testing.assert_array_equal(got[0], 1e-200 * g0[0])
+    np.testing.assert_array_equal(got[1:], g0[1:])
+    np.testing.assert_allclose(sphere_log_weights(op, got), sphere_log_weights(op, g0),
+                               rtol=1e-12)
+    assert inv_det_sphere(op, cfg).log_mean == pytest.approx(want.log_mean, rel=1e-12)
 
 
 def test_negative_seed_rejected():
