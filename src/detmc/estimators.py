@@ -38,19 +38,21 @@ ceil(d / 8) rows and weighs the whole frame of its last row, up to 7
 directions more than d.  The trace point at direction p of a stream is the
 running mean over the frames of the earlier streams and the first
 ceil(p / 8) frames of that stream, so the last point is ``log_mean``.  Each
-stream holds a (2, n, rows) block: g column-major in one slot and each of
-its seven images in turn in the other, so every direction is a column, an
-image copies runs of whole k-long rows of g, and the norms of column-major
-images sum such rows.
+chunk draws its k Gaussian rows as the transpose of a C-ordered (n, k)
+block, and each stream holds one more (n, k) buffer that its seven images
+take in turn: every direction is a column, an image copies runs of whole
+k-long rows of g.T, and the norms of column-major blocks sum such rows.
 
 Everything is accumulated in log domain: for even modest n the weights span
 ranges that overflow linear float64.  Reported standard errors come from the
-empirical second moment; for ill-conditioned matrices the weights can have
-infinite variance, in which case the standard error is advisory only.  The
-``heavy_tail`` flag on the result is set when some folded log-weight exceeds
--n log(1e-150); for the sphere form it is judged on frame means, and a
-frame mean that high means some unit direction's image norm fell below 1e-150.
-Confidence-interval-based checks in this package therefore stick to
+empirical second moment.  For full-rank A, ||A s||^{-n} <= sigma_min(A)^{-n}:
+the sphere and inverse-solve weights have every moment finite, and their
+variance, however huge on ill-conditioned input, is never infinite.  Only
+the importance weight can have infinite variance (with ``gaussian_q(n, v)``,
+when 2 v sigma_min^2 <= 1).  The ``heavy_tail`` flag is a scale test: some
+folded log-weight (a frame mean, for the sphere form) exceeds
+-n log(1e-150), a mean weight above 1e150^n.  It fires on 1e-200 I, whose
+variance is 0.  Confidence-interval-based checks in this package stick to
 well-conditioned ensembles.
 
 Sampling is partitioned evenly across ``num_streams`` independent substreams
@@ -125,10 +127,9 @@ class MatrixFreeOperator:
     ``apply_batch`` from several threads at once.  The block is a read-only
     view of a buffer the estimator refills, on its next chunk or, in the
     sphere estimators, for the next direction of the same chunk: there every
-    block is column-major and comes from one of two buffers per stream, g's
-    slot or the slot its seven images take in turn.  ``apply_batch`` must
-    not write to the block (numpy raises ``ValueError``) or keep a reference
-    to it.
+    block is column-major and is one of two per-stream buffers: the draw g or
+    the buffer its seven images take in turn.  ``apply_batch`` must not write
+    to the block (numpy raises ``ValueError``) or keep a reference to it.
     """
 
     n: int
@@ -191,8 +192,10 @@ class EstimateResult:
 
     ``log_mean`` is authoritative; ``mean`` is its exponential and may
     overflow to +inf.  ``std_error`` is the linear-domain standard error of
-    the mean (advisory for heavy-tailed weights).  ``trace`` holds
-    (sample_index, running_log_mean) pairs when a trace was requested.
+    the mean, advisory only for importance weights of infinite variance (see
+    the module docstring).  ``heavy_tail`` flags a mean weight above
+    1e150^n, a scale test.  ``trace`` holds (sample_index, running_log_mean)
+    pairs when a trace was requested.
     """
 
     log_mean: float
@@ -287,8 +290,8 @@ def _apply(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
 @functools.lru_cache
 def _frame_runs(n: int) -> tuple[tuple[tuple[slice, slice, bool], ...], ...]:
     """The seven images of g after g itself, Jg, Kg, JKg, Pg, JPg, KPg and JKPg,
-    each as the contiguous runs ``(dst, src, negate)`` of its (n, k) slot: rows
-    ``dst`` of the image are rows ``src`` of g, negated when ``negate``."""
+    each as the contiguous runs ``(dst, src, negate)`` of its (n, k) block: rows
+    ``dst`` of the image are rows ``src`` of g.T, negated when ``negate``."""
     # a signed permutation is (index, sign) with (M x)[i] = sign[i] * x[index[i]]
     def half_swap(lo: int, m: int):  # J on x[lo: lo + m]: (x[lo + t:], -x[lo: lo + t])
         t = m // 2
@@ -317,7 +320,7 @@ def _frame_runs(n: int) -> tuple[tuple[tuple[slice, slice, bool], ...], ...]:
     return tuple(out)
 
 
-def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, frame: np.ndarray | None = None,
+def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, image: np.ndarray | None = None,
                        norms: np.ndarray | None = None) -> np.ndarray:
     """Per-row log of the frame mean of the sphere weight
     w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)).
@@ -325,28 +328,22 @@ def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, frame: np.ndarr
     The frame is g and its seven images under fixed signed permutations: Jg
     = (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]) and JKg, and
     the same four maps after Pg = (-g[n-1], g[0], ..., g[n-2]) (at n = 3, the
-    signed reversal (g[2], g[1], -g[0]); see :func:`_frame_runs`).  ``frame``,
-    when given, is a (2, n, k) block: g is copied column-major into
-    ``frame[0]`` (g may live in the memory of ``frame[1]``: it is copied out
-    first), and each image in turn is written into ``frame[1]``, applied and
-    reduced to its norms before the next.  ``norms``, an (8, k) block, is
-    overwritten.
+    signed reversal (g[2], g[1], -g[0]); see :func:`_frame_runs`).  g, a
+    (k, n) block in any layout, is applied as it is; each image in turn is
+    copied from runs of ``g.T`` into ``image``, an (n, k) block, and applied
+    and reduced to its norms before the next.  ``norms``, (8, k), is overwritten.
     """
     n, k = op.n, len(g)
-    frame = np.empty((2, n, k)) if frame is None else frame
+    image = np.empty((n, k)) if image is None else image
     lw = np.empty((_FRAME_WIDTH, k)) if norms is None else norms
-    # the maps are orthogonal: one norm serves every direction; taken on g before
-    # an image overwrites frame[1], where g may live
-    log_r = _row_log_norms(g)
-    g0, image = frame  # (n, k) slots: every direction is a column
-    np.copyto(g0.T, g)
-    _row_log_norms(_apply(op, g0.T), lw[0])
+    log_r = _row_log_norms(g)  # the maps are orthogonal: one norm serves every direction
+    _row_log_norms(_apply(op, g), lw[0])
     for runs, out in zip(_frame_runs(n), lw[1:]):
         for dst, src, negate in runs:
             if negate:
-                np.negative(g0[src], out=image[dst])
+                np.negative(g.T[src], out=image[dst])
             else:
-                image[dst] = g0[src]
+                image[dst] = g.T[src]
         _row_log_norms(_apply(op, image.T), out)  # one image block alive at a time
     lw -= log_r
     lw *= -n
@@ -465,20 +462,19 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
     """
 
     def new_weigh(rows: int):
-        # this stream's (2, n, rows) frame block and its norms, refilled by every chunk;
+        # this stream's draw and image buffers and its norms, refilled by every chunk;
         # glibc keeps the one large allocation in the heap
         n, lw = op.n, np.empty((_FRAME_WIDTH, rows))
-        frame = np.empty((2, n, rows))
-        last = frame[-1].reshape(-1)  # holds the draw's C-ordered (k, n) block until it is copied
+        draw, image = np.empty((2, n * rows))
 
         def weigh(rng: RngStream, k: int):
-            g = sampling.gaussian_directions(rng, k, n, out=last[: k * n].reshape(k, n))
-            return sphere_log_weights(op, g, frame=frame[:, :, :k], norms=lw[:, :k])
+            g = sampling.gaussian_directions(rng, k, n, out=draw[: n * k].reshape(n, k))
+            return sphere_log_weights(op, g, image=image[: n * k].reshape(n, k), norms=lw[:, :k])
 
         return weigh
 
-    # a quarter of _chunk_rows(n) Gaussian rows per chunk: the frame block and one
-    # image hold 3/4 of the 2 MiB of variates a chunk may hold
+    # a quarter of _chunk_rows(n) Gaussian rows per chunk: the draw, the image buffer
+    # and one applied image hold 3/4 of the 2 MiB of variates a chunk may hold
     return _run(new_weigh, op.n, config, max(1, _chunk_rows(op.n) // 4), width=_FRAME_WIDTH)
 
 

@@ -1,12 +1,12 @@
 """Dense linear algebra substrate: matrices, the exact oracle, solves.
 
-Everything here rests on one LAPACK LU through numpy.  ``lu_factorize``
-computes ``log|det A|`` (``np.linalg.slogdet``), the exact oracle that every
-Monte Carlo estimate in this package is validated against, and ``A^{-1}``
-(``np.linalg.inv``), which turns the per-sample solves of the
-determinant-from-inverse estimator into one matrix product per block.  The
-determinant is kept in log form so the oracle stays finite for dimensions
-where the determinant itself over- or underflows float64.
+Everything here rests on LAPACK's LU through numpy.  ``lu_factorize``
+factors A twice: ``np.linalg.slogdet`` gives ``log|det A|``, the exact
+oracle that every Monte Carlo estimate in this package is validated
+against, and ``np.linalg.inv`` gives ``A^{-1}``, which turns the per-sample
+solves of the determinant-from-inverse estimator into one matrix product
+per block.  The determinant is kept in log form so the oracle stays finite
+for dimensions where the determinant itself over- or underflows float64.
 
 Only dense square matrices are supported here.  Matrix-free callers supply
 their own apply function to the estimators module instead.
@@ -74,7 +74,7 @@ class LUFactorization:
 
 
 def lu_factorize(m: DenseMatrix) -> LUFactorization:
-    """Factor A once with LAPACK; keep ``log|det A|`` and the read-only inverse.
+    """Factor A twice (``slogdet``, ``inv``); keep ``log|det A|`` and the read-only inverse.
 
     Raises :class:`SingularMatrixError` when A has a zero pivot, or when
     ``||A||_1 ||A^{-1}||_1 < 1/eps`` fails: LAPACK's own rule (xGESVX,

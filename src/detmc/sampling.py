@@ -14,9 +14,11 @@ Uniform sphere directions are normalized Gaussian vectors: the polar
 decomposition g = r s (chi-distributed radius times direction).  The sphere
 estimator's weight is invariant to the radius, so it weighs the unnormalised
 Gaussian rows of :func:`gaussian_directions` directly; :func:`unit_sphere_many`
-divides the same rows by their norms.  Only an all-zero row is degenerate,
-having no direction; any other row is kept.  A nonzero ziggurat variate is
-an integer multiple of a fixed layer width, far above 1e-150.
+divides the same rows by their norms.  They are the contiguous columns of a
+C-ordered (n, k) draw, as the sphere kernel reads them.  Only an all-zero
+row is degenerate, having no direction; any other row is kept.  A nonzero
+ziggurat variate is an integer multiple of a fixed layer width, far above
+1e-150.
 """
 
 from __future__ import annotations
@@ -70,14 +72,17 @@ def gaussian_matrix(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = 
 
 def gaussian_directions(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = None
                         ) -> np.ndarray:
-    """(k, n) Gaussian block with no all-zero row, written into ``out`` when
-    given (see :func:`gaussian_matrix`).
+    """(k, n) Gaussian block with no all-zero row: the transpose of an (n, k)
+    :func:`gaussian_matrix` draw, written into ``out``, a C-contiguous (n, k)
+    array, when given.  Row i takes variates i, k + i, 2k + i, ... of the draw.
 
     The ziggurat can return an exact 0.0, so at n = 1 a zero row is
     possible: each zero row is redrawn in place, in row order, from the same
     stream.  Every other row is kept, however short.
     """
-    g = gaussian_matrix(rng, k, n, out=out)
+    if k < 0 or n < 1:
+        raise ValueError("need k >= 0 draws of positive dimension")
+    g = gaussian_matrix(rng, n, k, out=out).T if k else np.empty((0, n))
     while not g.all() and (zero := np.flatnonzero(~g.any(axis=1))).size:
         for i in zero:
             g[i] = rng.generator.standard_normal(n)

@@ -23,7 +23,7 @@ the count without touching the sums.  NaN and +inf are contract violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -105,9 +105,7 @@ class StreamingAccumulator:
         reproducible parallel reductions must merge in a fixed order.
         Associative up to floating-point rounding.
         """
-        out = StreamingAccumulator(
-            self.count, self.max_log, self.shifted_sum, self.shifted_sum_sq
-        )
+        out = replace(self)
         out._absorb(other.count, other.max_log, other.shifted_sum, other.shifted_sum_sq)
         return out
 

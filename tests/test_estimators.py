@@ -75,6 +75,35 @@ class TestSphereEstimator:
         with pytest.raises(SingularDirectionError):
             inv_det_sphere(op, EstimatorConfig(10, seed=0))
 
+    @pytest.mark.parametrize("n", [3, 10, 64])
+    @pytest.mark.parametrize("kind", ["ill_conditioned", "gaussian_iid"])
+    def test_weights_are_at_most_sigma_min_to_the_minus_n(self, kind, n):
+        # ||A s|| >= sigma_min(A) for every unit s, so each weight, and each frame
+        # mean, is at most sigma_min^-n: every moment is finite.  The block holds
+        # the right singular vector of sigma_min, whose frame mean is at least
+        # its own weight / 8, so the bound is met to within log 8
+        m = generate(EnsembleSpec(kind, n=n, seed=5,
+                                  cond=1e6 if kind == "ill_conditioned" else None))
+        _, sv, vt = np.linalg.svd(m.data)
+        bound = -n * math.log(sv[-1])
+        g = np.vstack([gaussian_directions(RngStream(2, 0), 4096, n), vt[-1]])
+        lw = sphere_log_weights(operator_from_matrix(m), g)
+        rounding = n * n * np.finfo(float).eps * sv[0] / sv[-1]
+        assert lw.max() <= bound + rounding
+        assert lw[-1] >= bound - math.log(_FRAME_WIDTH) - rounding
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 17])
+    def test_weights_do_not_depend_on_the_layout_of_g(self, n):
+        # the kernel reads g in place, through any strides, with or without an
+        # image buffer of its own
+        op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=9)))
+        c_order = gaussian_matrix(RngStream(4, 0), 300, n)
+        want = sphere_log_weights(op, c_order)
+        for g in (c_order, np.asfortranarray(c_order)):
+            for image in (None, np.empty((n, 300))):
+                np.testing.assert_allclose(sphere_log_weights(op, g, image=image), want,
+                                           rtol=1e-12)
+
     def test_tiny_scale_sets_heavy_tail_flag(self):
         m = DenseMatrix(1e-160 * np.eye(2))
         r = inv_det_sphere(operator_from_matrix(m), EstimatorConfig(10, seed=0))
@@ -96,14 +125,14 @@ class TestSphereEstimator:
         real = detmc.sampling.gaussian_matrix
         calls = []
 
-        def zero_first_row_of_first_block(rng, k, n, **kwargs):
-            g = real(rng, k, n, **kwargs)
+        def zero_first_direction_of_first_block(rng, n, k, **kwargs):
+            g = real(rng, n, k, **kwargs)  # (n, k): each direction is a column
             if not calls:
-                g[0] = 0.0
+                g[:, 0] = 0.0
             calls.append(k)
             return g
 
-        monkeypatch.setattr(detmc.sampling, "gaussian_matrix", zero_first_row_of_first_block)
+        monkeypatch.setattr(detmc.sampling, "gaussian_matrix", zero_first_direction_of_first_block)
         r = inv_det_sphere(operator_from_matrix(DenseMatrix(np.eye(2))), EstimatorConfig(50))
         assert calls == [7]  # 50 directions, eight per drawn row
         assert r.log_mean == 0.0
@@ -116,11 +145,12 @@ class TestSphereEstimator:
     )
     def test_eight_directions_per_drawn_row(self, monkeypatch, num_samples, num_streams, rows):
         real = detmc.sampling.gaussian_matrix
-        drawn = {}
+        drawn, variates = {}, {}
 
-        def counting(rng, k, n, **kwargs):
+        def counting(rng, n, k, **kwargs):  # an (n, k) draw of k rows
             drawn[rng.stream_id] = drawn.get(rng.stream_id, 0) + k
-            return real(rng, k, n, **kwargs)
+            variates[rng.stream_id] = variates.get(rng.stream_id, 0) + n * k
+            return real(rng, n, k, **kwargs)
 
         monkeypatch.setattr(detmc.sampling, "gaussian_matrix", counting)
         cfg = EstimatorConfig(num_samples, seed=1, num_streams=num_streams)
@@ -128,9 +158,11 @@ class TestSphereEstimator:
             m = well_conditioned(n, seed=2)
             for estimate in (inv_det_sphere, det_via_inverse_solves):
                 drawn.clear()
+                variates.clear()
                 arg = operator_from_matrix(m) if estimate is inv_det_sphere else m
                 assert estimate(arg, cfg).n_samples == num_samples
                 assert [drawn[j] for j in range(num_streams)] == rows, n
+                assert [variates[j] for j in range(num_streams)] == [n * r for r in rows]
 
     @pytest.mark.parametrize("n", [*range(1, 34), 400])
     def test_frame_of_eight_is_signed_permutations_orthogonal_in_fours(self, n):
@@ -171,7 +203,7 @@ class TestSphereEstimator:
                 assert np.all(np.abs(off) <= 1e-12 * sq[:, None, None])
 
     def test_each_stream_refills_two_read_only_blocks(self):
-        # the g slot and the image slot of the frame block, at n = 3, 8 and 10
+        # the draw g and the image buffer of each stream, at n = 3, 8 and 10
         for n in (3, 8, 10):
             m = well_conditioned(n, seed=4).data
             seen = []
@@ -196,7 +228,8 @@ class TestSphereEstimator:
     def test_each_chunk_calls_draw_and_kernel_once_positionally(self, monkeypatch, n,
                                                                 num_streams):
         # bench/tracing.py wraps these two module attributes and sizes each call's
-        # work from its positional arguments alone: (rng, k, n) and (op, g)
+        # work from its positional arguments alone: the product of the draw's 2nd
+        # and 3rd, (rng, n, k) for k rows, and the kernel's (op, g)
         real_draw, real_weigh = detmc.sampling.gaussian_matrix, detmc.estimators.sphere_log_weights
         draws, weighs = [], []
 
@@ -222,15 +255,17 @@ class TestSphereEstimator:
             estimate(arg, cfg)
             want = sorted([rows, rows, 1] * num_streams)
             assert len(draws) == len(weighs) == 3 * num_streams
-            assert all(len(a) == 3 and isinstance(a[0], RngStream) and a[2] == n for a in draws)
-            assert sorted(k for _, k, _ in draws) == want
+            assert all(len(a) == 3 and isinstance(a[0], RngStream) and a[1] == n for a in draws)
+            assert sorted(k for _, _, k in draws) == want
+            assert sorted(a[1] * a[2] for a in draws) == [n * k for k in want]
             assert all(len(a) == 2 and a[0].n == n for a in weighs)
             assert sorted(len(g) for _, g in weighs) == want
 
     def test_peak_memory_is_the_frame_block_and_one_image(self):
-        # a 1-stream call at n = 10 holds its (2, n, rows) frame block and one
-        # image block at a time; the slack is twelve rows-long vectors: the (8, rows)
-        # norm block and the kernel's temporaries, g's log-norms among them
+        # a 1-stream call at n = 10 holds its draw and image buffers, one (2, n * rows)
+        # block, and one applied image block at a time; the slack is twelve rows-long
+        # vectors: the (8, rows) norm block and the kernel's temporaries, g's
+        # log-norms among them
         n = 10
         rows = _chunk_rows(n) // 4
         op = operator_from_matrix(well_conditioned(n, seed=3))
@@ -249,7 +284,7 @@ class TestSphereEstimator:
                                       [1e154, 1.0, 1.0, 1.0]],
                              ids=["overflow", "underflow", "mixed"])
     def test_out_of_range_images_match_a_scaled_reference(self, diag):
-        # in every frame slot the images' squared norms leave the float64 range in
+        # in every frame direction the images' squared norms leave the float64 range in
         # every row, or (mixed) in the rows whose direction's first entry exceeds
         # 1.34 in size, so each image block takes the scaled recompute
         n, h = len(diag), len(diag) // 2
@@ -571,24 +606,25 @@ class TestStreams:
 
     @pytest.mark.parametrize(
         "estimator, n, num_streams, want",
-        # frames of eight moved every sphere pin; was (frames of four, column-major):
-        #   sphere-10-1  ("-0x1.8dc21e57cf3abp+2", "0x1.8248b20847676p-11")
-        #   sphere-10-2  ("-0x1.a15e36b8c181fp+2", "0x1.5ec4cb93118f3p-11")
-        #   sphere-16-1  ("-0x1.25ec296ed1ca4p+4", "0x1.870943ce17352p-30")
-        #   sphere-16-2  ("-0x1.22fe5fe990aa2p+4", "0x1.832006dd3e5b3p-29")
+        # drawing each direction as a column of an (n, k) block moved every sphere
+        # pin; was (frames of eight, row-major draw):
+        #   sphere-10-1  ("-0x1.9febac4eca9e0p+2", "0x1.604e3a5d57461p-11")
+        #   sphere-10-2  ("-0x1.bf892fe572f03p+2", "0x1.2ccf015df68fdp-12")
+        #   sphere-16-1  ("-0x1.2907272632f3fp+4", "0x1.118d1930e14e2p-30")
+        #   sphere-16-2  ("-0x1.2915fc9ea9444p+4", "0x1.54eb177d22469p-30")
         [
-            ("sphere", 10, 1, ("-0x1.9febac4eca9e0p+2", "0x1.604e3a5d57461p-11",
-                               "-0x1.9febac4eca9e0p+2",
-                               "7f420d03bd152bafd4440f39e425b0200b9ca00f")),
-            ("sphere", 10, 2, ("-0x1.bf892fe572f03p+2", "0x1.2ccf015df68fdp-12",
-                               "-0x1.bf892fe572f04p+2",
-                               "83bb2291e90127b4b6db753d23959b18efb995b1")),
-            ("sphere", 16, 1, ("-0x1.2907272632f3fp+4", "0x1.118d1930e14e2p-30",
-                               "-0x1.2907272632f3fp+4",
-                               "1f1a2239461f5652e1570ab51b8685afaefbfdab")),
-            ("sphere", 16, 2, ("-0x1.2915fc9ea9444p+4", "0x1.54eb177d22469p-30",
-                               "-0x1.2915fc9ea9444p+4",
-                               "1f94732b434396c3b3cff079768b82e9b98936e6")),
+            ("sphere", 10, 1, ("-0x1.465640e23989cp+2", "0x1.5d672d602f2f2p-8",
+                               "-0x1.465640e23989cp+2",
+                               "6113dc82f524f6c589dcaaba6439e44760d22571")),
+            ("sphere", 10, 2, ("-0x1.b0b602535c4eep+2", "0x1.6ca2d84e48186p-12",
+                               "-0x1.b0b602535c4f1p+2",
+                               "8c34e48934d965efa273119b7143f70725d723d5")),
+            ("sphere", 16, 1, ("-0x1.28f833a558ba8p+4", "0x1.82076a8a37ab4p-30",
+                               "-0x1.28f833a558ba8p+4",
+                               "fb5dcabaf89cb477f6c06759b66a2328a8bd02a2")),
+            ("sphere", 16, 2, ("-0x1.1096c202f7461p+4", "0x1.f69cc80a28fa0p-26",
+                               "-0x1.1096c202f7462p+4",
+                               "c0b4768afa739c11bd61988aa05bd34d03b9170c")),
             ("importance", 10, 2, ("-0x1.a6b015fd0bd8cp+2", "0x1.21711dddc6fb9p-11",
                                    "-0x1.a6b015fd0bd8bp+2",
                                    "443028d7e16cd03a913880671a236b7e25ac166b")),
@@ -598,7 +634,8 @@ class TestStreams:
         # n <= 16 keeps the largest chunks (_chunk_rows(n) = 16384): these bits
         # move only with a release note (n = 16 moved when 4 | n took frames of
         # four, n = 10 when every n did, both at rounding level with the
-        # column-major frame, and both with frames of eight)
+        # column-major frame, and both with frames of eight and with the
+        # column-major draw)
         op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=1)))
         cfg = EstimatorConfig(40_000, seed=3, num_streams=num_streams, trace_stride=997)
         if estimator == "sphere":

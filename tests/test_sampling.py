@@ -120,7 +120,7 @@ def test_polar_decomposition_identity():
 
 def test_sphere_is_normalized_gaussian_of_same_stream():
     s = unit_sphere_many(RngStream(11, 3), 4, 9)
-    g = gaussian_matrix(RngStream(11, 3), 4, 9)
+    g = gaussian_matrix(RngStream(11, 3), 9, 4).T
     np.testing.assert_array_equal(s, g / np.linalg.norm(g, axis=1)[:, np.newaxis])
 
 
@@ -174,20 +174,41 @@ def test_positive_dimension_required(bad_n):
         gaussian_matrix(RngStream(0, 0), 1, bad_n)
 
 
+@pytest.mark.parametrize("k, n", [(5, 3), (1, 7), (64, 10)])
+def test_directions_are_the_columns_of_an_n_by_k_draw(k, n):
+    """Row i takes variates i, k + i, 2k + i, ...: the directions are the
+    transpose of the (n, k) draw, which ``out`` holds when given."""
+    for seed in (0, 13):
+        want = gaussian_matrix(RngStream(seed, 0), n, k).T
+        np.testing.assert_array_equal(gaussian_directions(RngStream(seed, 0), k, n), want)
+        out = np.empty((n, k))
+        got = gaussian_directions(RngStream(seed, 0), k, n, out=out)
+        np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(got, out)
+
+
+@pytest.mark.parametrize("k, n", [(-1, 3), (2, 0), (2, -3)])
+def test_directions_need_a_non_negative_count_and_positive_dimension(k, n):
+    with pytest.raises(ValueError):
+        gaussian_directions(RngStream(0, 0), k, n)
+    assert gaussian_directions(RngStream(0, 0), 0, 3).shape == (0, 3)
+
+
 def test_degenerate_row_is_redrawn_from_the_same_stream(monkeypatch):
-    """An all-zero row becomes the next row of the same stream."""
+    """An all-zero row becomes the next n variates of the same stream."""
     real = detmc.sampling.gaussian_matrix
 
-    def zero_row_1(rng, k, n, **kwargs):
-        g = real(rng, k, n, **kwargs)
-        g[1] = 0.0
+    def zero_row_1(rng, n, k, **kwargs):
+        g = real(rng, n, k, **kwargs)
+        g[:, 1] = 0.0  # row 1 of the (k, n) transpose
         return g
 
     monkeypatch.setattr(detmc.sampling, "gaussian_matrix", zero_row_1)
     got = gaussian_directions(RngStream(12, 0), 3, 4)
-    want = real(RngStream(12, 0), 4, 4)
+    stream = real(RngStream(12, 0), 1, 16)[0]
+    want = stream[:12].reshape(4, 3).T
     np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
-    np.testing.assert_array_equal(got[1], want[3])
+    np.testing.assert_array_equal(got[1], stream[12:])
 
 
 @pytest.mark.parametrize("n", [4, 10])
@@ -199,14 +220,14 @@ def test_tiny_row_is_kept_and_weighed_like_its_direction(monkeypatch, n):
     cfg = EstimatorConfig(4 * 8, seed=12)
     want = inv_det_sphere(op, cfg)
 
-    def tiny_row_0(rng, k, n, **kwargs):
-        g = real(rng, k, n, **kwargs)
-        g[0] *= 1e-200
+    def tiny_row_0(rng, n, k, **kwargs):
+        g = real(rng, n, k, **kwargs)
+        g[:, 0] *= 1e-200  # row 0 of the (k, n) transpose
         return g
 
     monkeypatch.setattr(detmc.sampling, "gaussian_matrix", tiny_row_0)
     got = gaussian_directions(RngStream(12, 0), 3, n)
-    g0 = real(RngStream(12, 0), 3, n)
+    g0 = real(RngStream(12, 0), n, 3).T
     np.testing.assert_array_equal(got[0], 1e-200 * g0[0])
     np.testing.assert_array_equal(got[1:], g0[1:])
     np.testing.assert_allclose(sphere_log_weights(op, got), sphere_log_weights(op, g0),
