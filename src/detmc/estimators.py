@@ -19,29 +19,24 @@ Applying the sphere formula to a solve-based operator (A maps to A^{-1})
 turns it into an estimator of |det A| itself; that is
 :func:`det_via_inverse_solves`.
 
-The sphere form gets a frame of eight directions from each Gaussian row g:
-g, Jg = (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]), the same
-half-swap applied to each half, and JKg, then the same four maps applied
-after the signed cyclic shift Pg = (-g[n-1], g[0], ..., g[n-2]) (at n = 3,
-where J is itself a shift by one, after the signed reversal (g[2], g[1],
--g[0]) instead).  Every map is a fixed signed permutation, so every image
+The sphere form gets a frame of w = min(n, 8) directions from each Gaussian
+row g: g, Pg, ..., P^{w-1} g, the first powers of the negacyclic shift
+Pg = (-g[n-1], g[0], ..., g[n-2]).  P is a signed permutation, so every image
 is standard normal and each direction is exactly uniform on the sphere,
-which is all unbiasedness needs.  For n >= 3 the eight are distinct up to
-sign; at n = 2 each direction appears twice.  When 4 | n, J, K and JK are
-also skew, so each group of four directions is pairwise orthogonal; at
-other n they are not, which only changes the variance.  The kernel returns
-the log of the frame's mean weight and the driver folds it as one sample,
-so the standard error is computed over independent frames whatever the
-correlation inside a frame.
+which is all unbiasedness needs.  P^n = -I, so the w directions are distinct
+up to sign at every n.  The kernel returns the log of the frame's mean
+weight and the driver folds it as one sample, so the standard error is
+computed over independent frames whatever the correlation inside a frame.
 ``num_samples`` still counts directions: a stream of d directions draws
-ceil(d / 8) rows and weighs the whole frame of its last row, up to 7
+ceil(d / w) rows and weighs the whole frame of its last row, up to w - 1
 directions more than d.  The trace point at direction p of a stream is the
 running mean over the frames of the earlier streams and the first
-ceil(p / 8) frames of that stream, so the last point is ``log_mean``.  Each
-chunk draws its k Gaussian rows as the transpose of a C-ordered (n, k)
-block, and each stream holds one more (n, k) buffer that its seven images
-take in turn: every direction is a column, an image copies runs of whole
-k-long rows of g.T, and the norms of column-major blocks sum such rows.
+ceil(p / w) frames of that stream, so the last point is ``log_mean``.  Each
+stream holds one C-ordered (2n, k) buffer: a chunk draws its k Gaussian rows
+as the (n, k) block of rows n: and writes their negatives into rows :n, so
+P^s g is rows n - s to 2n - s - 1, a column-major (k, n) window that is
+applied where it lies.  The norms of column-major blocks sum contiguous
+k-long rows.
 
 Everything is accumulated in log domain: for even modest n the weights span
 ranges that overflow linear float64.  Reported standard errors come from the
@@ -65,7 +60,6 @@ concurrent threads, or the estimate must run with ``num_streams = 1``.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
@@ -103,9 +97,11 @@ _LOG_HEAVY_TAIL = math.log(1e-150)
 
 _TINY_NORMAL = float(np.finfo(np.float64).tiny)
 
-# directions the sphere kernel weighs per Gaussian row: g and its images under
-# the seven signed permutations of _frame_runs
-_FRAME_WIDTH = 8
+
+def _frame_width(n: int) -> int:
+    """Directions the sphere kernel weighs per Gaussian row x: x, Px, ..., P^{w-1} x.
+    The negacyclic shift P has P^n = -I, so at most n of them differ up to sign."""
+    return min(n, 8)
 
 
 class SingularDirectionError(RuntimeError):
@@ -125,10 +121,11 @@ class MatrixFreeOperator:
     image block of any other shape is a ``ValueError``.  Estimators pass
     blocks of at most ``min(16384, max(1, 2**18 // n))`` rows and may call
     ``apply_batch`` from several threads at once.  The block is a read-only
-    view of a buffer the estimator refills, on its next chunk or, in the
-    sphere estimators, for the next direction of the same chunk: there every
-    block is column-major and is one of two per-stream buffers: the draw g or
-    the buffer its seven images take in turn.  ``apply_batch`` must not write
+    view of a buffer the estimator refills on its next chunk.  In the sphere
+    estimators every block is a column-major window of one per-stream buffer
+    that holds the draw and its negative, one window per direction of the
+    frame, and the same window may be applied a second time in a chunk, when
+    the kernel recomputes out-of-range norms.  ``apply_batch`` must not write
     to the block (numpy raises ``ValueError``) or keep a reference to it.
     """
 
@@ -193,13 +190,16 @@ class EstimateResult:
     ``log_mean`` is authoritative; ``mean`` is its exponential and may
     overflow to +inf.  ``std_error`` is the linear-domain standard error of
     the mean, advisory only for importance weights of infinite variance (see
-    the module docstring).  ``heavy_tail`` flags a mean weight above
+    the module docstring), and may overflow with it.  ``rel_std_error`` is
+    ``std_error / mean`` computed without overflow, the delta-method standard
+    error of ``log_mean``.  ``heavy_tail`` flags a mean weight above
     1e150^n, a scale test.  ``trace`` holds (sample_index, running_log_mean)
     pairs when a trace was requested.
     """
 
     log_mean: float
     std_error: float
+    rel_std_error: float
     n_samples: int
     trace: tuple[tuple[int, float], ...] | None = None
     heavy_tail: bool = False
@@ -255,13 +255,18 @@ class DistributionPair:
 # weight kernels
 
 
+def _normal(sq: np.ndarray) -> bool:
+    """Every squared norm in ``sq`` is a normal float64: none underflowed to a
+    low-precision subnormal or zero, overflowed to inf, or is NaN."""
+    return sq.min() >= _TINY_NORMAL and sq.max() < math.inf  # False on any NaN
+
+
 def _row_log_norms(images: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log of each row's Euclidean norm, written into ``out`` when given.  A block
-    with a squared norm outside the normal float64 range (underflow to a
-    low-precision subnormal or zero, overflow to inf) is recomputed with each
+    with a squared norm outside the normal float64 range is recomputed with each
     row scaled by its largest entry."""
     sq = np.einsum("ij,ij->i", images, images, out=out)
-    if sq.min() >= _TINY_NORMAL and sq.max() < math.inf:  # False on any NaN
+    if _normal(sq):
         return np.multiply(np.log(sq, out=sq), 0.5, out=sq)
     m = np.max(np.abs(images), axis=1)
     if not np.isfinite(m).all():
@@ -287,69 +292,42 @@ def _apply(op: MatrixFreeOperator, x: np.ndarray) -> np.ndarray:
     return images
 
 
-@functools.lru_cache
-def _frame_runs(n: int) -> tuple[tuple[tuple[slice, slice, bool], ...], ...]:
-    """The seven images of g after g itself, Jg, Kg, JKg, Pg, JPg, KPg and JKPg,
-    each as the contiguous runs ``(dst, src, negate)`` of its (n, k) block: rows
-    ``dst`` of the image are rows ``src`` of g.T, negated when ``negate``."""
-    # a signed permutation is (index, sign) with (M x)[i] = sign[i] * x[index[i]]
-    def half_swap(lo: int, m: int):  # J on x[lo: lo + m]: (x[lo + t:], -x[lo: lo + t])
-        t = m // 2
-        return np.r_[lo + t: lo + m, lo: lo + t], np.r_[np.ones(m - t), -np.ones(t)]
-
-    def after(a, b):  # a after b
-        return b[0][a[0]], a[1] * b[1][a[0]]
-
-    h = n // 2
-    (lo, s_lo), (hi, s_hi) = half_swap(0, h), half_swap(h, n - h)
-    j, k = half_swap(0, n), (np.r_[lo, hi], np.r_[s_lo, -s_hi])
-    # at n = 3 J is a shift by one and the shift P would make JPg = g: P is then
-    # the signed reversal (g[2], g[1], -g[0]), which keeps the eight distinct and
-    # measured the lowest variance per direction of the maps that do
-    p = ((np.r_[2, 1, 0], np.r_[1.0, 1.0, -1.0]) if n == 3 else
-         (np.r_[n - 1, 0: n - 1], np.r_[-1.0, np.ones(n - 1)]))
-    four = [(np.arange(n), np.ones(n)), j, k, after(j, k)]
-    maps = four[1:] + [after(m, p) for m in four]
-    out = []
-    for index, sign in maps:
-        # a run ends where the source row or the sign stops following on
-        cuts = np.flatnonzero((np.diff(index) != 1) | (np.diff(sign) != 0)) + 1
-        bounds = zip(np.r_[0, cuts].tolist(), np.r_[cuts, n].tolist())
-        out.append(tuple((slice(a, b), slice(int(index[a]), int(index[a]) + b - a),
-                          bool(sign[a] < 0)) for a, b in bounds))
-    return tuple(out)
-
-
-def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *, image: np.ndarray | None = None,
+def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *,
                        norms: np.ndarray | None = None) -> np.ndarray:
     """Per-row log of the frame mean of the sphere weight
     w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)).
 
-    The frame is g and its seven images under fixed signed permutations: Jg
-    = (g[h:], -g[:h]) with h = n // 2, Kg = (J g[:h], -J g[h:]) and JKg, and
-    the same four maps after Pg = (-g[n-1], g[0], ..., g[n-2]) (at n = 3, the
-    signed reversal (g[2], g[1], -g[0]); see :func:`_frame_runs`).  g, a
-    (k, n) block in any layout, is applied as it is; each image in turn is
-    copied from runs of ``g.T`` into ``image``, an (n, k) block, and applied
-    and reduced to its norms before the next.  ``norms``, (8, k), is overwritten.
+    g is a (k, 2n) block, in any layout, whose last n columns hold k Gaussian
+    rows x; the kernel overwrites its first n columns with -x.  The frame of x
+    is its first ``_frame_width(n)`` images under the negacyclic shift
+    Px = (-x[n-1], x[0], ..., x[n-2]): P^s x is columns n - s to 2n - s - 1 of
+    g, a view that is applied in place.  The squared norms of all the images
+    land in ``norms``, (width, k), which is overwritten, and pass one range
+    check together; if any is out of range, every image is applied again and
+    reduced on its own, with scaling and the checks of :func:`_row_log_norms`.
     """
     n, k = op.n, len(g)
-    image = np.empty((n, k)) if image is None else image
-    lw = np.empty((_FRAME_WIDTH, k)) if norms is None else norms
-    log_r = _row_log_norms(g)  # the maps are orthogonal: one norm serves every direction
-    _row_log_norms(_apply(op, g), lw[0])
-    for runs, out in zip(_frame_runs(n), lw[1:]):
-        for dst, src, negate in runs:
-            if negate:
-                np.negative(g.T[src], out=image[dst])
-            else:
-                image[dst] = g.T[src]
-        _row_log_norms(_apply(op, image.T), out)  # one image block alive at a time
+    if np.shape(g) != (k, 2 * n):
+        raise ValueError(f"sphere_log_weights needs a (k, {2 * n}) block; got {np.shape(g)}")
+    width = _frame_width(n)
+    lw = np.empty((width, k)) if norms is None else norms
+    np.negative(g[:, n:], out=g[:, :n])
+    shifts = [g[:, n - s: 2 * n - s] for s in range(width)]
+    log_r = _row_log_norms(shifts[0])  # P is orthogonal: one norm serves every direction
+    for x, sq in zip(shifts, lw):
+        image = _apply(op, x)
+        np.einsum("ij,ij->i", image, image, out=sq)
+        del image  # one image block alive at a time
+    if _normal(lw):
+        np.multiply(np.log(lw, out=lw), 0.5, out=lw)
+    else:  # the operator is deterministic: the images come back as they were
+        for x, out in zip(shifts, lw):
+            _row_log_norms(_apply(op, x), out)
     lw -= log_r
     lw *= -n
     hi = lw.max(axis=0)  # the log of the frame mean, exactly, against its largest weight
     lw -= hi
-    return hi + np.log(np.exp(lw, out=lw).sum(axis=0)) - math.log(_FRAME_WIDTH)
+    return hi + np.log(np.exp(lw, out=lw).sum(axis=0)) - math.log(width)
 
 
 def importance_log_weights(
@@ -389,7 +367,7 @@ def _chunk_rows(n: int) -> int:
     float64), so memory does not grow with n.  A pure function of n, so
     results never depend on scheduling.  Importance draws this many samples
     per chunk; the sphere estimators draw a quarter as many Gaussian rows, each
-    weighed in eight directions."""
+    weighed in ``_frame_width(n)`` directions."""
     return min(16384, max(1, 2**18 // n))
 
 
@@ -442,6 +420,7 @@ def _run(new_weigh, n: int, config: EstimatorConfig, rows: int, width: int = 1
     return EstimateResult(
         log_mean=summary.log_mean,
         std_error=summary.std_error,
+        rel_std_error=summary.rel_std_error,
         n_samples=config.num_samples,
         trace=trace,
         heavy_tail=merged.max_log > -n * _LOG_HEAVY_TAIL,
@@ -456,26 +435,27 @@ def _run(new_weigh, n: int, config: EstimatorConfig, rows: int, width: int = 1
 def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateResult:
     """Estimate the reciprocal absolute determinant of the map ``op`` realizes.
 
-    Averages ||op(s)||^{-n} over uniform unit-sphere directions, eight per
-    Gaussian draw (see the module docstring).  Unbiased; zero-variance on
+    Averages ||op(s)||^{-n} over uniform unit-sphere directions, min(n, 8)
+    per Gaussian draw (see the module docstring).  Unbiased; zero-variance on
     orthogonal maps.
     """
+    n = op.n
 
     def new_weigh(rows: int):
-        # this stream's draw and image buffers and its norms, refilled by every chunk;
-        # glibc keeps the one large allocation in the heap
-        n, lw = op.n, np.empty((_FRAME_WIDTH, rows))
-        draw, image = np.empty((2, n * rows))
+        # this stream's signed draw and its norms, refilled by every chunk; glibc
+        # keeps the large allocation in the heap
+        signed, lw = np.empty(2 * n * rows), np.empty((_frame_width(n), rows))
 
         def weigh(rng: RngStream, k: int):
-            g = sampling.gaussian_directions(rng, k, n, out=draw[: n * k].reshape(n, k))
-            return sphere_log_weights(op, g, image=image[: n * k].reshape(n, k), norms=lw[:, :k])
+            block = signed[: 2 * n * k].reshape(2 * n, k)  # the draw lands in rows n:
+            sampling.gaussian_directions(rng, k, n, out=block[n:])
+            return sphere_log_weights(op, block.T, norms=lw[:, :k])
 
         return weigh
 
-    # a quarter of _chunk_rows(n) Gaussian rows per chunk: the draw, the image buffer
+    # a quarter of _chunk_rows(n) Gaussian rows per chunk: the draw, its negative
     # and one applied image hold 3/4 of the 2 MiB of variates a chunk may hold
-    return _run(new_weigh, op.n, config, max(1, _chunk_rows(op.n) // 4), width=_FRAME_WIDTH)
+    return _run(new_weigh, n, config, max(1, _chunk_rows(n) // 4), width=_frame_width(n))
 
 
 def inv_det_importance(

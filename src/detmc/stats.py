@@ -14,7 +14,9 @@ standard error of the mean.  ``log_total`` is the log of the running sum, and
 weights it folds: the estimators' traces.  Standard errors use the sample
 variance with Bessel correction (count - 1); a single sample reports
 std_error = 0 with ``low_count`` set.  The standard error can overflow to
-+inf for extreme log-ranges; that is reported as-is, never raised.
++inf for extreme log-ranges; that is reported as-is, never raised.  The
+relative standard error, std_error / mean, is computed from the shifted sums
+alone, so it never overflows.
 
 A log-weight of -inf is accepted and means "weight exactly zero": it bumps
 the count without touching the sums.  NaN and +inf are contract violations.
@@ -43,6 +45,7 @@ def _exp_or_inf(x: float) -> float:
 class MomentSummary(NamedTuple):
     log_mean: float
     std_error: float
+    rel_std_error: float
     low_count: bool
 
 
@@ -132,7 +135,7 @@ class StreamingAccumulator:
             raise ValueError("cannot summarize an empty accumulator")
         n = self.count
         if self.shifted_sum == 0.0:  # every weight was zero
-            return MomentSummary(-math.inf, 0.0, n == 1)
+            return MomentSummary(-math.inf, 0.0, 0.0, n == 1)
         log_mean = self.max_log + math.log(self.shifted_sum / n)
         # variance of the shifted weights, computed from raw moments; the
         # subtraction cancels catastrophically once the true variance drops
@@ -143,6 +146,7 @@ class StreamingAccumulator:
         if v <= 32.0 * _EPS * m2:
             v = 0.0
         if n == 1 or v == 0.0:
-            return MomentSummary(log_mean, 0.0, n == 1)
-        std_error = _exp_or_inf(self.max_log) * math.sqrt(v / (n - 1))
-        return MomentSummary(log_mean, std_error, False)
+            return MomentSummary(log_mean, 0.0, 0.0, n == 1)
+        shifted_se = math.sqrt(v / (n - 1))
+        return MomentSummary(log_mean, _exp_or_inf(self.max_log) * shifted_se,
+                             shifted_se / (self.shifted_sum / n), False)

@@ -40,7 +40,7 @@ def test_criterion_1_convergence_reproduction(tmp_path):
         m = generate(EnsembleSpec("gaussian_iid", n=10, seed=seed))
         r = det_via_inverse_solves(m, EstimatorConfig(100_000, seed=seed, trace_stride=10))
         final_log = r.trace[-1][1]
-        band = 3.0 * r.std_error / r.mean  # delta-method SE of the log estimate
+        band = 3.0 * r.rel_std_error  # delta-method SE of the log estimate
         if abs(final_log - oracle_log_det(m)) <= band:
             hits += 1
     # one seed exercises the actual CLI convergence pipeline end to end
@@ -114,7 +114,7 @@ def test_criterion_5_cross_estimator_agreement():
         op, DistributionPair.gaussian_q(4, 1.0), EstimatorConfig(1_000_000, seed=6)
     )
     gap = abs(r1.log_mean - r2.log_mean)
-    band = 3.0 * math.hypot(r1.std_error / r1.mean, r2.std_error / r2.mean)
+    band = 3.0 * math.hypot(r1.rel_std_error, r2.rel_std_error)
     report("C5 cross-estimator-agreement", gap <= band, f"log gap {gap:.2e} <= {band:.2e}")
 
 
@@ -167,7 +167,7 @@ def test_criterion_8_determinism_and_streams(tmp_path):
     r1 = inv_det_sphere(op, EstimatorConfig(100_000, seed=11, num_streams=1))
     r4 = inv_det_sphere(op, EstimatorConfig(100_000, seed=11, num_streams=4))
     gap = abs(r1.log_mean - r4.log_mean)
-    band = 3.0 * math.hypot(r1.std_error / r1.mean, r4.std_error / r4.mean)
+    band = 3.0 * math.hypot(r1.rel_std_error, r4.rel_std_error)
     report(
         "C8 determinism-and-streams",
         identical and gap <= band,

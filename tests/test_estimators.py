@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,8 +20,8 @@ from detmc.estimators import (
     MatrixFreeOperator,
     SingularDirectionError,
     UnsupportedSampleError,
-    _FRAME_WIDTH,
     _chunk_rows,
+    _frame_width,
     _trace_grid,
     default_trace_stride,
     det_via_inverse_solves,
@@ -37,6 +38,19 @@ from detmc.stats import StreamingAccumulator
 
 def oracle_log_det(m: DenseMatrix) -> float:
     return log_abs_det(lu_factorize(m))
+
+
+def frame_weights(op, g):
+    """sphere_log_weights on the Gaussian rows g, a (k, n) block, passed as the
+    last n columns of a (k, 2n) block whose first n the kernel overwrites."""
+    return sphere_log_weights(op, np.hstack([g, g]))
+
+
+def shift(v, s=1):
+    """P^s v for the negacyclic shift Pv = (-v[n-1], v[0], ..., v[n-2])."""
+    for _ in range(s):
+        v = np.concatenate([-v[-1:], v[:-1]])
+    return v
 
 
 def well_conditioned(n, seed, cond=1.2):
@@ -81,28 +95,31 @@ class TestSphereEstimator:
         # ||A s|| >= sigma_min(A) for every unit s, so each weight, and each frame
         # mean, is at most sigma_min^-n: every moment is finite.  The block holds
         # the right singular vector of sigma_min, whose frame mean is at least
-        # its own weight / 8, so the bound is met to within log 8
+        # its own weight / w for a frame of w, so the bound is met to within log w
         m = generate(EnsembleSpec(kind, n=n, seed=5,
                                   cond=1e6 if kind == "ill_conditioned" else None))
         _, sv, vt = np.linalg.svd(m.data)
         bound = -n * math.log(sv[-1])
         g = np.vstack([gaussian_directions(RngStream(2, 0), 4096, n), vt[-1]])
-        lw = sphere_log_weights(operator_from_matrix(m), g)
+        lw = frame_weights(operator_from_matrix(m), g)
         rounding = n * n * np.finfo(float).eps * sv[0] / sv[-1]
         assert lw.max() <= bound + rounding
-        assert lw[-1] >= bound - math.log(_FRAME_WIDTH) - rounding
+        assert lw[-1] >= bound - math.log(_frame_width(n)) - rounding
 
     @pytest.mark.parametrize("n", [1, 3, 10, 17])
     def test_weights_do_not_depend_on_the_layout_of_g(self, n):
-        # the kernel reads g in place, through any strides, with or without an
-        # image buffer of its own
+        # the kernel reads the (k, 2n) block in place, through any strides, and
+        # overwrites only its first n columns
         op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=9)))
-        c_order = gaussian_matrix(RngStream(4, 0), 300, n)
-        want = sphere_log_weights(op, c_order)
-        for g in (c_order, np.asfortranarray(c_order)):
-            for image in (None, np.empty((n, 300))):
-                np.testing.assert_allclose(sphere_log_weights(op, g, image=image), want,
-                                           rtol=1e-12)
+        g = gaussian_matrix(RngStream(4, 0), 300, n)
+        want = frame_weights(op, g)
+        wide = np.zeros((300, 4 * n))
+        wide[:, 1::2] = np.hstack([g, g])
+        for block in (np.hstack([g, g]), np.asfortranarray(np.hstack([g, g])), wide[:, 1::2]):
+            np.testing.assert_allclose(sphere_log_weights(op, block), want, rtol=1e-12)
+            np.testing.assert_array_equal(block, np.hstack([-g, g]))
+        with pytest.raises(ValueError, match=r"\(k, %d\) block" % (2 * n)):
+            sphere_log_weights(op, g)
 
     def test_tiny_scale_sets_heavy_tail_flag(self):
         m = DenseMatrix(1e-160 * np.eye(2))
@@ -134,16 +151,13 @@ class TestSphereEstimator:
 
         monkeypatch.setattr(detmc.sampling, "gaussian_matrix", zero_first_direction_of_first_block)
         r = inv_det_sphere(operator_from_matrix(DenseMatrix(np.eye(2))), EstimatorConfig(50))
-        assert calls == [7]  # 50 directions, eight per drawn row
+        assert calls == [25]  # 50 directions, two per drawn row at n = 2
         assert r.log_mean == 0.0
         assert r.std_error == 0.0
 
-    @pytest.mark.parametrize(
-        "num_samples, num_streams, rows",
-        # rows drawn per stream, ceil(d / 8) for d directions, at n = 3, 4 and 8
-        [(16, 1, [2]), (17, 1, [3]), (18, 2, [2, 2])],
-    )
-    def test_eight_directions_per_drawn_row(self, monkeypatch, num_samples, num_streams, rows):
+    @pytest.mark.parametrize("num_samples, num_streams", [(16, 1), (17, 1), (18, 2), (42, 3)])
+    def test_one_drawn_row_per_frame_of_min_n_8_directions(self, monkeypatch, num_samples,
+                                                           num_streams):
         real = detmc.sampling.gaussian_matrix
         drawn, variates = {}, {}
 
@@ -154,8 +168,10 @@ class TestSphereEstimator:
 
         monkeypatch.setattr(detmc.sampling, "gaussian_matrix", counting)
         cfg = EstimatorConfig(num_samples, seed=1, num_streams=num_streams)
-        for n in (3, 4, 8):
-            m = well_conditioned(n, seed=2)
+        for n in (1, 2, 3, 4, 7, 8, 10):
+            # ceil(d / w) rows for the d directions of a stream, w = min(n, 8)
+            rows = [-(-num_samples // num_streams // min(n, 8))] * num_streams
+            m = well_conditioned(n, seed=2, cond=1.2 if n > 1 else 1.0)
             for estimate in (inv_det_sphere, det_via_inverse_solves):
                 drawn.clear()
                 variates.clear()
@@ -165,59 +181,62 @@ class TestSphereEstimator:
                 assert [variates[j] for j in range(num_streams)] == [n * r for r in rows]
 
     @pytest.mark.parametrize("n", [*range(1, 34), 400])
-    def test_frame_of_eight_is_signed_permutations_orthogonal_in_fours(self, n):
+    def test_frame_is_the_first_shifts_distinct_up_to_sign(self, n):
         # every image of g is a signed permutation of it, so standard normal and
-        # exactly uniform in direction; when 4 | n each group of four is orthogonal
+        # exactly uniform in direction; the w = min(n, 8) maps are the powers
+        # P^0, ..., P^{w-1} of the negacyclic shift, no two equal up to sign
+        width = _frame_width(n)
+        assert width == min(n, 8)
         blocks = []
         recording = MatrixFreeOperator(n, lambda x: blocks.append(x.copy()) or x.copy())
         # row j of each block is the image of e_j, so the block is its map transposed
-        assert np.all(sphere_log_weights(recording, np.eye(n)) == 0.0)
+        assert np.all(frame_weights(recording, np.eye(n)) == 0.0)
         maps = [b.T for b in blocks]
-        assert len(maps) == _FRAME_WIDTH
+        assert len(maps) == width
         np.testing.assert_array_equal(maps[0], np.eye(n))
-        for q in maps:
+        for s, q in enumerate(maps):
             assert set(np.unique(q)) <= {-1.0, 0.0, 1.0}
             assert np.all(np.abs(q).sum(axis=0) == 1) and np.all(np.abs(q).sum(axis=1) == 1)
-        if n >= 3:  # distinct up to sign
-            for a in range(_FRAME_WIDTH):
-                for b in range(a):
-                    assert not np.array_equal(maps[a], maps[b])
-                    assert not np.array_equal(maps[a], -maps[b])
-        if n % 4 == 0:
-            for four in (maps[:4], maps[4:]):
-                for a in range(4):
-                    for b in range(a):
-                        c = four[b].T @ four[a]  # skew: M_b g is orthogonal to M_a g
-                        np.testing.assert_array_equal(c.T, -c)
-        # the eight blocks of one row block of Gaussian rows are those maps' images
+            np.testing.assert_array_equal(q, np.stack([shift(e, s) for e in np.eye(n)], 1))
+        for a in range(width):
+            for b in range(a):
+                assert not np.array_equal(maps[a], maps[b])
+                assert not np.array_equal(maps[a], -maps[b])
+        # the blocks of one row block of Gaussian rows are those maps' images
         blocks.clear()
         g = gaussian_matrix(RngStream(8, 0), 64, n)
-        sphere_log_weights(recording, g)
+        frame_weights(recording, g)
         for block, q in zip(blocks, maps, strict=True):
             np.testing.assert_array_equal(block, g @ q.T)
-        if n % 4 == 0:
-            sq = np.einsum("ki,ki->k", g, g)
-            for four in (blocks[:4], blocks[4:]):
-                gram = np.einsum("aki,bki->kab", four, four)
-                off = gram - sq[:, None, None] * np.eye(4)
-                assert np.all(np.abs(off) <= 1e-12 * sq[:, None, None])
 
-    def test_each_stream_refills_two_read_only_blocks(self):
-        # the draw g and the image buffer of each stream, at n = 3, 8 and 10
+    @pytest.mark.parametrize("num_streams", [1, 2])
+    def test_every_block_is_a_read_only_window_of_one_stream_buffer(self, num_streams):
+        # each stream holds one (2n, rows) buffer; every block apply_batch gets is a
+        # read-only, column-major (k, n) window inside it, at n = 3, 8 and 10
         for n in (3, 8, 10):
             m = well_conditioned(n, seed=4).data
+            rows, width = _chunk_rows(n) // 4, _frame_width(n)
             seen = []
 
             def apply_batch(x):
-                seen.append((byte_bounds(x)[0], x.flags.writeable))
+                seen.append((threading.get_ident(), *byte_bounds(x), x.shape,
+                             x.flags.f_contiguous, x.flags.writeable))
                 return x @ m.T
 
-            # four full chunks of _chunk_rows(n) // 4 rows and one of a single row
-            cfg = EstimatorConfig(_FRAME_WIDTH * _chunk_rows(n) + 2, seed=5)
+            # per stream: four full chunks and one of a single row
+            cfg = EstimatorConfig(num_streams * width * (4 * rows + 1), seed=5,
+                                  num_streams=num_streams)
             inv_det_sphere(MatrixFreeOperator(n, apply_batch), cfg)
-            assert len(seen) == _FRAME_WIDTH * 5  # every direction block of every chunk
-            assert len({start for start, _ in seen}) <= 2
-            assert not any(writeable for _, writeable in seen)
+            assert len(seen) == num_streams * width * 5  # every direction of every chunk
+            assert sorted(shape for *_, shape, _, _ in seen) == sorted(
+                [(rows, n)] * 4 * width * num_streams + [(1, n)] * width * num_streams)
+            assert all(f_contiguous and not writeable for *_, f_contiguous, writeable in seen)
+            threads = {t for t, *_ in seen}
+            assert len(threads) == num_streams
+            for t in threads:
+                lo = min(start for u, start, *_ in seen if u == t)
+                hi = max(end for u, _, end, *_ in seen if u == t)
+                assert hi - lo <= 8 * 2 * n * rows
 
     @pytest.mark.parametrize("n, num_streams", [pytest.param(10, 1, id="1"),
                                                 pytest.param(10, 2, id="2"),
@@ -245,7 +264,7 @@ class TestSphereEstimator:
         monkeypatch.setattr(detmc.estimators, "sphere_log_weights", weigh)
         rows = _chunk_rows(n) // 4
         # per stream: two full chunks and one of a single row
-        cfg = EstimatorConfig(num_streams * (_FRAME_WIDTH * (2 * rows + 1)), seed=6,
+        cfg = EstimatorConfig(num_streams * (_frame_width(n) * (2 * rows + 1)), seed=6,
                               num_streams=num_streams)
         m = well_conditioned(n, seed=4)
         for estimate, arg in ((inv_det_sphere, operator_from_matrix(m)),
@@ -262,14 +281,14 @@ class TestSphereEstimator:
             assert sorted(len(g) for _, g in weighs) == want
 
     def test_peak_memory_is_the_frame_block_and_one_image(self):
-        # a 1-stream call at n = 10 holds its draw and image buffers, one (2, n * rows)
-        # block, and one applied image block at a time; the slack is twelve rows-long
-        # vectors: the (8, rows) norm block and the kernel's temporaries, g's
-        # log-norms among them
+        # a 1-stream call at n = 10 holds its draw and its negative, one (2n, rows)
+        # buffer, and one applied image block at a time; the slack is twelve
+        # rows-long vectors: the (8, rows) norm block and the kernel's temporaries,
+        # g's log-norms among them
         n = 10
         rows = _chunk_rows(n) // 4
         op = operator_from_matrix(well_conditioned(n, seed=3))
-        cfg = EstimatorConfig(3 * _FRAME_WIDTH * rows, seed=5)
+        cfg = EstimatorConfig(3 * _frame_width(n) * rows, seed=5)
         inv_det_sphere(op, cfg)
         tracemalloc.start()
         try:
@@ -281,35 +300,65 @@ class TestSphereEstimator:
         assert peak <= block + image + slack
 
     @pytest.mark.parametrize("diag", [[1e170, 1e-170, 1.0, 1.0], [1e-170] * 4,
-                                      [1e154, 1.0, 1.0, 1.0]],
-                             ids=["overflow", "underflow", "mixed"])
+                                      [1e154, 1.0, 1.0, 1.0], [1e154] + [1.0] * 9,
+                                      [1e-160] * 3 + [1.0] * 7],
+                             ids=["overflow", "underflow", "mixed", "mixed_n10",
+                                  "mixed_underflow_n10"])
     def test_out_of_range_images_match_a_scaled_reference(self, diag):
-        # in every frame direction the images' squared norms leave the float64 range in
-        # every row, or (mixed) in the rows whose direction's first entry exceeds
-        # 1.34 in size, so each image block takes the scaled recompute
-        n, h = len(diag), len(diag) // 2
+        # overflow and underflow take every image of every frame out of the float64
+        # range; the mixed operators only some of them, the images whose scaled
+        # entries exceed 1.34 in size (or, mixed_underflow_n10, whose entries scaled
+        # by 1 are all small): each frame with one is recomputed with scaling
+        n = len(diag)
         op = operator_from_matrix(DenseMatrix(np.diag(diag)))
         g = gaussian_matrix(RngStream(12, 0), 64, n)
-
-        def swap(v):
-            return np.concatenate([v[len(v) // 2:], -v[: len(v) // 2]])
-
-        def fours(v):
-            kv = np.concatenate([swap(v[:h]), -swap(v[h:])])
-            return [v, swap(v), kv, swap(kv)]
-
-        for row, got in zip(g, sphere_log_weights(op, g)):
-            frame = fours(row) + fours(np.concatenate([-row[-1:], row[:-1]]))
-            w = [-n * (math.log(math.hypot(*(diag * d))) - math.log(math.hypot(*row)))
-                 for d in frame]
+        width = _frame_width(n)
+        for row, got in zip(g, frame_weights(op, g)):
+            w = [-n * (math.log(math.hypot(*(diag * shift(row, s)))) - math.log(math.hypot(*row)))
+                 for s in range(width)]
             top = max(w)
-            want = top + math.log(math.fsum(math.exp(x - top) for x in w) / _FRAME_WIDTH)
+            want = top + math.log(math.fsum(math.exp(x - top) for x in w) / width)
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_images_are_applied_again_only_when_some_norm_leaves_the_range(self, n):
+        # one chunk: w applies when every squared norm is a normal float64, 2w when
+        # one row of one image overflows
+        g = gaussian_matrix(RngStream(3, 0), 50, n)
+        calls = []
+
+        def counting(scale):
+            def apply_batch(x):
+                calls.append(len(x))
+                return x * scale
+            return MatrixFreeOperator(n, apply_batch)
+
+        frame_weights(counting(np.full(n, 2.0)), g)
+        assert calls == [50] * _frame_width(n)
+        calls.clear()
+        got = frame_weights(counting(np.r_[1e160, np.ones(n - 1)]), g)
+        assert calls == [50] * 2 * _frame_width(n)
+        assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_one_bad_image_in_the_frame_is_loud(self, bad):
+        # a zero image is a singular direction and a non-finite one a faulty operator,
+        # even when it is one direction of one frame: the image of row 5 whose
+        # largest entry comes first, one of the eight shifts of that row
+        def apply_batch(x):
+            y = np.array(x)
+            if np.argmax(np.abs(x[5])) == 0:
+                y[5] = bad
+            return y
+
+        error = SingularDirectionError if bad == 0.0 else ValueError
+        with pytest.raises(error):
+            inv_det_sphere(MatrixFreeOperator(8, apply_batch), EstimatorConfig(800))
 
     @pytest.mark.parametrize("n", [3, 10, 64])
     def test_image_layout_does_not_change_the_estimate(self, n):
         m = generate(EnsembleSpec("gaussian_iid", n=n, seed=2)).data
-        cfg = EstimatorConfig(2 * _FRAME_WIDTH * 5001, seed=11, num_streams=2, trace_stride=997)
+        cfg = EstimatorConfig(2 * 8 * 5001, seed=11, num_streams=2, trace_stride=997)
         c_order = inv_det_sphere(
             MatrixFreeOperator(n, lambda xs: np.ascontiguousarray(xs @ m.T)), cfg)
         column_major = inv_det_sphere(
@@ -319,9 +368,9 @@ class TestSphereEstimator:
         np.testing.assert_allclose(column_major.trace, c_order.trace, rtol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 8, 10])
-    def test_perfectly_correlated_eights_count_once(self, n):
+    def test_perfectly_correlated_frames_count_once(self, n):
         # each row is scaled by a function of its sorted absolute entries, which no
-        # signed permutation changes: all eight images of g weigh the same, and the
+        # signed permutation changes: all images of g weigh the same, and the
         # estimate is the mean and standard error of the 2001 drawn directions g alone
         c = np.linspace(0.5, 2.0, n)
 
@@ -330,7 +379,7 @@ class TestSphereEstimator:
             return (s @ c) / s.sum(axis=1)
 
         op = MatrixFreeOperator(n, lambda x: x * scale(x)[:, np.newaxis])
-        cfg = EstimatorConfig(_FRAME_WIDTH * 2001 - (_FRAME_WIDTH - 1), seed=7)
+        cfg = EstimatorConfig(_frame_width(n) * 2001 - (_frame_width(n) - 1), seed=7)
         r = inv_det_sphere(op, cfg)
         g = gaussian_directions(RngStream(7, 0), 2001, n)
         w = -n * np.log(scale(g))
@@ -354,7 +403,7 @@ class TestInverseSolveEstimator:
         m = generate(EnsembleSpec("gaussian_iid", n=10, seed=0))
         r = det_via_inverse_solves(m, EstimatorConfig(100_000, seed=0, trace_stride=10))
         oracle = oracle_log_det(m)
-        assert abs(r.log_mean - oracle) <= 3.0 * r.std_error / r.mean
+        assert abs(r.log_mean - oracle) <= 3.0 * r.rel_std_error
         # the trace ends at the final running mean and marches toward the oracle
         assert r.trace[-1][0] == 100_000
         assert r.trace[-1][1] == pytest.approx(r.log_mean, rel=1e-12)
@@ -480,6 +529,22 @@ class TestInvariants:
                 -8 * math.log(c), abs=1e-12
             )
 
+    @pytest.mark.parametrize("estimate, c", [
+        (lambda m, cfg: inv_det_sphere(operator_from_matrix(m), cfg), 1e-200),
+        (det_via_inverse_solves, 1e200),
+    ], ids=["sphere", "inverse_solve"])
+    def test_relative_std_error_survives_an_overflowed_mean(self, estimate, c):
+        # the estimate for c A is 1e800 times that for A, which overflows float64,
+        # and with it mean and std_error; their ratio is computed in the shifted
+        # domain and does not move
+        m = well_conditioned(4, seed=12, cond=1.5)
+        cfg = EstimatorConfig(4000, seed=3, num_streams=2)
+        base = estimate(m, cfg)
+        tiny = estimate(DenseMatrix(c * m.data), cfg)
+        assert tiny.mean == tiny.std_error == math.inf
+        assert 0.0 < base.rel_std_error == pytest.approx(base.std_error / base.mean, rel=1e-12)
+        assert tiny.rel_std_error == pytest.approx(base.rel_std_error, rel=1e-12)
+
     def test_reciprocity_inverse_solve_estimator_is_sphere_on_solves(self):
         m = generate(EnsembleSpec("gaussian_iid", n=6, seed=17))
         cfg = EstimatorConfig(2000, seed=9)
@@ -494,8 +559,8 @@ class TestInvariants:
         inverse_rows = lu_solve_many(f, np.eye(6))  # row i solves A x = e_i
         dense_inverse = DenseMatrix(inverse_rows.T)
         s = unit_sphere_many(RngStream(9, 0), 2000, 6)
-        w_solve = sphere_log_weights(MatrixFreeOperator(6, lambda xs: lu_solve_many(f, xs)), s)
-        w_dense = sphere_log_weights(operator_from_matrix(dense_inverse), s)
+        w_solve = frame_weights(MatrixFreeOperator(6, lambda xs: lu_solve_many(f, xs)), s)
+        w_dense = frame_weights(operator_from_matrix(dense_inverse), s)
         np.testing.assert_allclose(w_solve, w_dense, rtol=1e-8)
         assert det_via_inverse_solves(m, cfg).log_mean == pytest.approx(
             inv_det_sphere(operator_from_matrix(dense_inverse), cfg).log_mean, rel=1e-8
@@ -549,16 +614,16 @@ class TestInvariants:
              "perfect_fours", "perfect_fours_inverse"],
     )
     def test_std_error_is_calibrated_over_seeds(self, matrix, inverse):
-        """z = (mean - target) / std_error over 200 seeds has sd near 1, at n not a
-        multiple of 4 (tiled_n6, ill_conditioned at n = 10), whose frames are not
-        orthogonal in fours, and also when every direction of a group of four
-        weighs the same: counting the 2 x 8004 directions of perfect_fours (n = 8)
-        as independent would give sd of 2 or more."""
+        """z = (mean - target) / std_error over 200 seeds has sd near 1 on frames of
+        correlated directions (tiled_n6, ill_conditioned at n = 10), and also when
+        the even shifts of g all weigh as g and the odd ones as Pg: counting the
+        2 x 8004 directions of perfect_fours (n = 8) as independent would give sd
+        of 2 or more."""
         log_det = oracle_log_det(matrix)
         z = []
         for seed in range(200):
             # each stream folds 1001 frames, whatever the frame width
-            cfg = EstimatorConfig(2001 * _FRAME_WIDTH, seed=seed, num_streams=2)
+            cfg = EstimatorConfig(2001 * _frame_width(matrix.n), seed=seed, num_streams=2)
             if inverse:
                 r, target = det_via_inverse_solves(matrix, cfg), math.exp(log_det)
             else:
@@ -601,30 +666,30 @@ class TestStreams:
         r1 = inv_det_sphere(op, EstimatorConfig(200_000, seed=15, num_streams=1))
         r4 = inv_det_sphere(op, EstimatorConfig(200_000, seed=15, num_streams=4))
         gap = abs(r1.log_mean - r4.log_mean)
-        combined = math.hypot(r1.std_error / r1.mean, r4.std_error / r4.mean)
+        combined = math.hypot(r1.rel_std_error, r4.rel_std_error)
         assert gap <= 3.0 * combined
 
     @pytest.mark.parametrize(
         "estimator, n, num_streams, want",
-        # drawing each direction as a column of an (n, k) block moved every sphere
-        # pin; was (frames of eight, row-major draw):
-        #   sphere-10-1  ("-0x1.9febac4eca9e0p+2", "0x1.604e3a5d57461p-11")
-        #   sphere-10-2  ("-0x1.bf892fe572f03p+2", "0x1.2ccf015df68fdp-12")
-        #   sphere-16-1  ("-0x1.2907272632f3fp+4", "0x1.118d1930e14e2p-30")
-        #   sphere-16-2  ("-0x1.2915fc9ea9444p+4", "0x1.54eb177d22469p-30")
+        # frames of negacyclic shifts moved every sphere pin; was (frames of
+        # eight, column-major draw):
+        #   sphere-10-1  ("-0x1.465640e23989cp+2", "0x1.5d672d602f2f2p-8")
+        #   sphere-10-2  ("-0x1.b0b602535c4eep+2", "0x1.6ca2d84e48186p-12")
+        #   sphere-16-1  ("-0x1.28f833a558ba8p+4", "0x1.82076a8a37ab4p-30")
+        #   sphere-16-2  ("-0x1.1096c202f7461p+4", "0x1.f69cc80a28fa0p-26")
         [
-            ("sphere", 10, 1, ("-0x1.465640e23989cp+2", "0x1.5d672d602f2f2p-8",
-                               "-0x1.465640e23989cp+2",
-                               "6113dc82f524f6c589dcaaba6439e44760d22571")),
-            ("sphere", 10, 2, ("-0x1.b0b602535c4eep+2", "0x1.6ca2d84e48186p-12",
-                               "-0x1.b0b602535c4f1p+2",
-                               "8c34e48934d965efa273119b7143f70725d723d5")),
-            ("sphere", 16, 1, ("-0x1.28f833a558ba8p+4", "0x1.82076a8a37ab4p-30",
-                               "-0x1.28f833a558ba8p+4",
-                               "fb5dcabaf89cb477f6c06759b66a2328a8bd02a2")),
-            ("sphere", 16, 2, ("-0x1.1096c202f7461p+4", "0x1.f69cc80a28fa0p-26",
-                               "-0x1.1096c202f7462p+4",
-                               "c0b4768afa739c11bd61988aa05bd34d03b9170c")),
+            ("sphere", 10, 1, ("-0x1.4667433915290p+2", "0x1.5d652579c9546p-8",
+                               "-0x1.4667433915291p+2",
+                               "e02f603759ec7a1eaeb875faac7e0774235bdccb")),
+            ("sphere", 10, 2, ("-0x1.b0142c4586f3ep+2", "0x1.84bbde498fad7p-12",
+                               "-0x1.b0142c4586f3ep+2",
+                               "b8746db5fa35f24442931153378cf4982eaf28e8")),
+            ("sphere", 16, 1, ("-0x1.1b89779bdb694p+4", "0x1.8d81d1e245d55p-27",
+                               "-0x1.1b89779bdb694p+4",
+                               "f5ccf40c9d42a159d8f3eb88a1f478139ee953ef")),
+            ("sphere", 16, 2, ("-0x1.0e5cb48ca9698p+4", "0x1.fb2a84ac4a232p-26",
+                               "-0x1.0e5cb48ca9698p+4",
+                               "3cb7e7e5dc3666a3298ad7566eb8138f7d9c0080")),
             ("importance", 10, 2, ("-0x1.a6b015fd0bd8cp+2", "0x1.21711dddc6fb9p-11",
                                    "-0x1.a6b015fd0bd8bp+2",
                                    "443028d7e16cd03a913880671a236b7e25ac166b")),
@@ -634,8 +699,8 @@ class TestStreams:
         # n <= 16 keeps the largest chunks (_chunk_rows(n) = 16384): these bits
         # move only with a release note (n = 16 moved when 4 | n took frames of
         # four, n = 10 when every n did, both at rounding level with the
-        # column-major frame, and both with frames of eight and with the
-        # column-major draw)
+        # column-major frame, and both with frames of eight, with the
+        # column-major draw and with frames of negacyclic shifts)
         op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=1)))
         cfg = EstimatorConfig(40_000, seed=3, num_streams=num_streams, trace_stride=997)
         if estimator == "sphere":
@@ -671,10 +736,10 @@ class TestStreams:
         op = operator_from_matrix(m)
         cfg = EstimatorConfig(num_samples, seed=4, num_streams=num_streams, trace_stride=stride)
         r = inv_det_sphere(op, cfg)
-        per_stream, width = num_samples // num_streams, _FRAME_WIDTH
+        per_stream, width = num_samples // num_streams, _frame_width(n)
         frames = -(-per_stream // width)
         w = np.concatenate([
-            sphere_log_weights(op, gaussian_directions(rng, k, n))
+            frame_weights(op, gaussian_directions(rng, k, n))
             for rng, k in chunked_streams(cfg.seed, num_streams, per_stream,
                                           max(1, _chunk_rows(n) // 4), width=width)
         ])
@@ -830,7 +895,7 @@ class TestConfigAndTypes:
                 MatrixFreeOperator(n=n, apply_batch=lambda x: x)
 
     def test_result_mean_overflow(self):
-        r = EstimateResult(log_mean=800.0, std_error=0.0, n_samples=1)
+        r = EstimateResult(log_mean=800.0, std_error=0.0, rel_std_error=0.0, n_samples=1)
         assert r.mean == math.inf
 
     def test_nan_from_operator_is_loud(self):

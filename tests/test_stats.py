@@ -98,10 +98,12 @@ def test_shift_invariance(delta):
     shifted = filled([w + delta for w in lw]).summarize()
     assert shifted.log_mean - base.log_mean == pytest.approx(delta, rel=1e-12, abs=1e-12)
     assert shifted.std_error == pytest.approx(base.std_error * math.exp(delta), rel=1e-12)
+    assert shifted.rel_std_error == pytest.approx(base.rel_std_error, rel=1e-12)
 
 
 def test_std_error_zero_iff_weights_equal():
-    assert filled([1.7] * 100).summarize().std_error == 0.0
+    s = filled([1.7] * 100).summarize()
+    assert s.std_error == s.rel_std_error == 0.0
     assert filled([0.0, 1e-6]).summarize().std_error > 0.0
 
 
@@ -127,7 +129,7 @@ def test_neg_inf_means_zero_weight():
     assert acc.summarize().log_mean == pytest.approx(math.log(0.5), abs=1e-15)
     all_zero = filled([-math.inf, -math.inf]).summarize()
     assert all_zero.log_mean == -math.inf
-    assert all_zero.std_error == 0.0
+    assert all_zero.std_error == all_zero.rel_std_error == 0.0
 
 
 def test_empty_summarize_raises():
@@ -139,6 +141,11 @@ def test_std_error_overflow_reported_as_inf():
     s = filled([800.0, 802.0]).summarize()
     assert math.isfinite(s.log_mean)
     assert s.std_error == math.inf
+    # the relative standard error is computed from the shifted sums and stays finite
+    base = filled([0.0, 2.0]).summarize()
+    assert base.rel_std_error == pytest.approx(base.std_error / math.exp(base.log_mean),
+                                               rel=1e-12)
+    assert s.rel_std_error == pytest.approx(base.rel_std_error, rel=1e-12)
 
 
 @given(
