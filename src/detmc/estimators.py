@@ -32,11 +32,11 @@ ceil(d / w) rows and weighs the whole frame of its last row, up to w - 1
 directions more than d.  The trace point at direction p of a stream is the
 running mean over the frames of the earlier streams and the first
 ceil(p / w) frames of that stream, so the last point is ``log_mean``.  Each
-stream holds one C-ordered (2n, k) buffer: a chunk draws its k Gaussian rows
-as the (n, k) block of rows n: and writes their negatives into rows :n, so
-P^s g is rows n - s to 2n - s - 1, a column-major (k, n) window that is
-applied where it lies.  The norms of column-major blocks sum contiguous
-k-long rows.
+stream holds one C-ordered (n + w - 1, k) buffer, all a frame reads: a chunk
+draws its k Gaussian rows as the (n, k) block of rows w - 1: and writes the
+negatives of their last w - 1 coordinates into rows :w - 1, so P^s g is rows
+w - 1 - s to w - 2 - s + n, a column-major (k, n) window that is applied
+where it lies.  The norms of column-major blocks sum contiguous k-long rows.
 
 Everything is accumulated in log domain: for even modest n the weights span
 ranges that overflow linear float64.  Reported standard errors come from the
@@ -123,10 +123,11 @@ class MatrixFreeOperator:
     ``apply_batch`` from several threads at once.  The block is a read-only
     view of a buffer the estimator refills on its next chunk.  In the sphere
     estimators every block is a column-major window of one per-stream buffer
-    that holds the draw and its negative, one window per direction of the
-    frame, and the same window may be applied a second time in a chunk, when
-    the kernel recomputes out-of-range norms.  ``apply_batch`` must not write
-    to the block (numpy raises ``ValueError``) or keep a reference to it.
+    that holds the draw and the negatives of its last w - 1 coordinates, one
+    window per direction of the frame of w, and the same window may be
+    applied a second time in a chunk, when the kernel recomputes out-of-range
+    norms.  ``apply_batch`` must not write to the block (numpy raises
+    ``ValueError``) or keep a reference to it.
     """
 
     n: int
@@ -297,23 +298,24 @@ def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *,
     """Per-row log of the frame mean of the sphere weight
     w(x) = ||op(x / ||x||)||^{-n} = exp(-n (log||op(x)|| - log||x||)).
 
-    g is a (k, 2n) block, in any layout, whose last n columns hold k Gaussian
-    rows x; the kernel overwrites its first n columns with -x.  The frame of x
-    is its first ``_frame_width(n)`` images under the negacyclic shift
-    Px = (-x[n-1], x[0], ..., x[n-2]): P^s x is columns n - s to 2n - s - 1 of
-    g, a view that is applied in place.  The squared norms of all the images
-    land in ``norms``, (width, k), which is overwritten, and pass one range
-    check together; if any is out of range, every image is applied again and
-    reduced on its own, with scaling and the checks of :func:`_row_log_norms`.
+    g is a (k, n + w - 1) block, w = ``_frame_width(n)``, in any layout, whose
+    last n columns hold k Gaussian rows x; the kernel overwrites its first w - 1
+    with -x[:, n - w + 1:].  The frame of x is its first w images under the
+    negacyclic shift Px = (-x[n-1], x[0], ..., x[n-2]): P^s x is columns
+    w - 1 - s to w - 2 - s + n of g, applied in place.  ``norms``, (w + 2, k), is
+    overwritten, and its last row returned.  The images' squared norms pass one
+    range check together; if any is out of range, every image is applied again
+    and reduced on its own, with scaling and the checks of :func:`_row_log_norms`.
     """
-    n, k = op.n, len(g)
-    if np.shape(g) != (k, 2 * n):
-        raise ValueError(f"sphere_log_weights needs a (k, {2 * n}) block; got {np.shape(g)}")
-    width = _frame_width(n)
-    lw = np.empty((width, k)) if norms is None else norms
-    np.negative(g[:, n:], out=g[:, :n])
-    shifts = [g[:, n - s: 2 * n - s] for s in range(width)]
-    log_r = _row_log_norms(shifts[0])  # P is orthogonal: one norm serves every direction
+    n, k, width = op.n, len(g), _frame_width(op.n)
+    h = width - 1
+    if np.shape(g) != (k, n + h):
+        raise ValueError(f"sphere_log_weights needs a (k, {n + h}) block; got {np.shape(g)}")
+    norms = np.empty((width + 2, k)) if norms is None else norms
+    lw, top, log_sum = norms[:width], norms[width], norms[width + 1]
+    np.negative(g[:, n:], out=g[:, :h])
+    shifts = [g[:, h - s: h - s + n] for s in range(width)]
+    _row_log_norms(shifts[0], top)  # P is orthogonal: one norm serves every direction
     for x, sq in zip(shifts, lw):
         image = _apply(op, x)
         np.einsum("ij,ij->i", image, image, out=sq)
@@ -321,13 +323,14 @@ def sphere_log_weights(op: MatrixFreeOperator, g: np.ndarray, *,
     if _normal(lw):
         np.multiply(np.log(lw, out=lw), 0.5, out=lw)
     else:  # the operator is deterministic: the images come back as they were
-        for x, out in zip(shifts, lw):
-            _row_log_norms(_apply(op, x), out)
-    lw -= log_r
+        for x, row in zip(shifts, lw):
+            _row_log_norms(_apply(op, x), row)
+    lw -= top
     lw *= -n
-    hi = lw.max(axis=0)  # the log of the frame mean, exactly, against its largest weight
-    lw -= hi
-    return hi + np.log(np.exp(lw, out=lw).sum(axis=0)) - math.log(width)
+    np.max(lw, axis=0, out=top)  # the log of the frame mean, exactly, against its largest weight
+    lw -= top
+    np.log(np.sum(np.exp(lw, out=lw), axis=0, out=log_sum), out=log_sum)
+    return np.subtract(np.add(top, log_sum, out=log_sum), math.log(width), out=log_sum)
 
 
 def importance_log_weights(
@@ -366,8 +369,8 @@ def _chunk_rows(n: int) -> int:
     """Rows per vectorized block: at most 16384 and 2**18 variates (2 MiB of
     float64), so memory does not grow with n.  A pure function of n, so
     results never depend on scheduling.  Importance draws this many samples
-    per chunk; the sphere estimators draw a quarter as many Gaussian rows, each
-    weighed in ``_frame_width(n)`` directions."""
+    per chunk; the sphere estimators draw a quarter as many Gaussian rows and
+    weigh each in w = ``_frame_width(n)`` directions from n + w - 1 stored values."""
     return min(16384, max(1, 2**18 // n))
 
 
@@ -439,23 +442,23 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
     per Gaussian draw (see the module docstring).  Unbiased; zero-variance on
     orthogonal maps.
     """
-    n = op.n
+    n, width = op.n, _frame_width(op.n)
 
     def new_weigh(rows: int):
-        # this stream's signed draw and its norms, refilled by every chunk; glibc
-        # keeps the large allocation in the heap
-        signed, lw = np.empty(2 * n * rows), np.empty((_frame_width(n), rows))
+        # this stream's draw with the negatives of its last w - 1 coordinates, and
+        # its norms, refilled by every chunk; glibc keeps the large allocation in the heap
+        signed, norms = np.empty((n + width - 1) * rows), np.empty((width + 2, rows))
 
         def weigh(rng: RngStream, k: int):
-            block = signed[: 2 * n * k].reshape(2 * n, k)  # the draw lands in rows n:
-            sampling.gaussian_directions(rng, k, n, out=block[n:])
-            return sphere_log_weights(op, block.T, norms=lw[:, :k])
+            block = signed[: (n + width - 1) * k].reshape(n + width - 1, k)
+            sampling.gaussian_directions(rng, k, n, out=block[width - 1:])
+            return sphere_log_weights(op, block.T, norms=norms[:, :k])
 
         return weigh
 
-    # a quarter of _chunk_rows(n) Gaussian rows per chunk: the draw, its negative
-    # and one applied image hold 3/4 of the 2 MiB of variates a chunk may hold
-    return _run(new_weigh, n, config, max(1, _chunk_rows(n) // 4), width=_frame_width(n))
+    # a quarter of _chunk_rows(n) Gaussian rows per chunk: the buffer and one applied
+    # image hold at most 5/8 of the 2 MiB a chunk may hold (n <= 2**16), half at n >= 100
+    return _run(new_weigh, n, config, max(1, _chunk_rows(n) // 4), width=width)
 
 
 def inv_det_importance(

@@ -1,11 +1,11 @@
 """Dense linear algebra substrate: matrices, the exact oracle, solves.
 
 Everything here rests on LAPACK's LU through numpy.  ``lu_factorize``
-factors A twice: ``np.linalg.slogdet`` gives ``log|det A|``, the exact
-oracle that every Monte Carlo estimate in this package is validated
-against, and ``np.linalg.inv`` gives ``A^{-1}``, which turns the per-sample
+factors A with ``np.linalg.inv``, whose ``A^{-1}`` turns the per-sample
 solves of the determinant-from-inverse estimator into one matrix product
-per block.  The determinant is kept in log form so the oracle stays finite
+per block.  ``np.linalg.slogdet`` factors A again for ``log|det A|``, the
+exact oracle every Monte Carlo estimate here is validated against, only
+when it is first read.  It is kept in log form so the oracle stays finite
 for dimensions where the determinant itself over- or underflows float64.
 
 Only dense square matrices are supported here.  Matrix-free callers supply
@@ -15,6 +15,7 @@ their own apply function to the estimators module instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,35 +64,44 @@ class DenseMatrix:
 
 @dataclass(frozen=True)
 class LUFactorization:
-    """What the estimators need from the LU of A: ``log|det A|`` and ``A^{-1}``."""
+    """What the estimators need from the LU of A: ``A^{-1}``; ``log|det A|`` on first read."""
 
-    log_abs_det: float
+    matrix: DenseMatrix
     inverse: np.ndarray
 
     @property
     def n(self) -> int:
         return self.inverse.shape[0]
 
+    @cached_property
+    def log_abs_det(self) -> float:
+        return float(np.linalg.slogdet(self.matrix.data)[1])
+
+
+def _norm1(a: np.ndarray) -> float:
+    """||a||_1, the largest column sum of |a|, summed 64 rows at a time: no n x n temporary."""
+    return float(sum(np.abs(a[i: i + 64]).sum(axis=0) for i in range(0, len(a), 64)).max())
+
 
 def lu_factorize(m: DenseMatrix) -> LUFactorization:
-    """Factor A twice (``slogdet``, ``inv``); keep ``log|det A|`` and the read-only inverse.
+    """Factor A once (``inv``); keep A and the read-only inverse.
 
     Raises :class:`SingularMatrixError` when A has a zero pivot, or when
     ``||A||_1 ||A^{-1}||_1 < 1/eps`` fails: LAPACK's own rule (xGESVX,
     RCOND < eps) for a matrix that is singular to working precision.  The
     estimators in this package assume full-rank inputs.
     """
-    sign, logdet = np.linalg.slogdet(m.data)
-    if sign == 0.0:
-        raise SingularMatrixError("matrix is singular: LU has a zero pivot")
-    inverse = np.linalg.inv(m.data)
-    cond = np.linalg.norm(m.data, 1) * np.linalg.norm(inverse, 1)
+    try:
+        inverse = np.linalg.inv(m.data)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is singular: LU has a zero pivot") from None
+    cond = _norm1(m.data) * _norm1(inverse)
     if not cond < 1.0 / _EPS:  # also catches an inverse that overflowed to inf
         raise SingularMatrixError(
             f"matrix is singular to working precision: 1-norm condition number {cond:.3g}"
         )
     inverse.setflags(write=False)
-    return LUFactorization(log_abs_det=float(logdet), inverse=inverse)
+    return LUFactorization(matrix=m, inverse=inverse)
 
 
 def lu_solve_many(f: LUFactorization, rhs: np.ndarray) -> np.ndarray:

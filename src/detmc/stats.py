@@ -92,11 +92,12 @@ class StreamingAccumulator:
         if m == -math.inf:  # an empty block, or one of zero weights
             self.count += lw.size
             return np.full(at.size, before)
-        d = np.exp(lw - m)  # -inf entries become exact zeros
+        d = np.subtract(lw, m)
+        np.exp(d, out=d)  # -inf entries become exact zeros
         self._absorb(lw.size, m, float(d.sum()), float(np.einsum("i,i->", d, d)))
         if not at.size:
             return np.empty(0)
-        sums = np.cumsum(d)[at]
+        sums = np.cumsum(d, out=d)[at]  # d is spent: its running sums overwrite it
         small = int(np.searchsorted(sums, 1e-290))
         head = np.logaddexp.accumulate(lw[: at[small - 1] + 1])[at[:small]] if small else []
         return np.logaddexp(before, np.concatenate([head, m + np.log(sums[small:])]))

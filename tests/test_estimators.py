@@ -40,10 +40,16 @@ def oracle_log_det(m: DenseMatrix) -> float:
     return log_abs_det(lu_factorize(m))
 
 
+def padded(g):
+    """The Gaussian rows g, a (k, n) block, as the last n columns of a
+    (k, n + w - 1) block whose first w - 1 the sphere kernel overwrites."""
+    h = _frame_width(g.shape[1]) - 1
+    return np.hstack([g[:, g.shape[1] - h:], g])
+
+
 def frame_weights(op, g):
-    """sphere_log_weights on the Gaussian rows g, a (k, n) block, passed as the
-    last n columns of a (k, 2n) block whose first n the kernel overwrites."""
-    return sphere_log_weights(op, np.hstack([g, g]))
+    """sphere_log_weights on the Gaussian rows g, a (k, n) block."""
+    return sphere_log_weights(op, padded(g))
 
 
 def shift(v, s=1):
@@ -108,18 +114,20 @@ class TestSphereEstimator:
 
     @pytest.mark.parametrize("n", [1, 3, 10, 17])
     def test_weights_do_not_depend_on_the_layout_of_g(self, n):
-        # the kernel reads the (k, 2n) block in place, through any strides, and
-        # overwrites only its first n columns
+        # the kernel reads the (k, n + w - 1) block in place, through any strides,
+        # and overwrites only its first w - 1 columns, with the negatives of the
+        # last w - 1 coordinates of g; the (k, 2n) block of earlier releases is refused
         op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=9)))
         g = gaussian_matrix(RngStream(4, 0), 300, n)
+        h = _frame_width(n) - 1
         want = frame_weights(op, g)
-        wide = np.zeros((300, 4 * n))
-        wide[:, 1::2] = np.hstack([g, g])
-        for block in (np.hstack([g, g]), np.asfortranarray(np.hstack([g, g])), wide[:, 1::2]):
+        wide = np.zeros((300, 2 * (n + h)))
+        wide[:, 1::2] = padded(g)
+        for block in (padded(g), np.asfortranarray(padded(g)), wide[:, 1::2]):
             np.testing.assert_allclose(sphere_log_weights(op, block), want, rtol=1e-12)
-            np.testing.assert_array_equal(block, np.hstack([-g, g]))
-        with pytest.raises(ValueError, match=r"\(k, %d\) block" % (2 * n)):
-            sphere_log_weights(op, g)
+            np.testing.assert_array_equal(block, np.hstack([-g[:, n - h:], g]))
+        with pytest.raises(ValueError, match=r"\(k, %d\) block" % (n + h)):
+            sphere_log_weights(op, np.hstack([g, g]))
 
     def test_tiny_scale_sets_heavy_tail_flag(self):
         m = DenseMatrix(1e-160 * np.eye(2))
@@ -211,8 +219,8 @@ class TestSphereEstimator:
 
     @pytest.mark.parametrize("num_streams", [1, 2])
     def test_every_block_is_a_read_only_window_of_one_stream_buffer(self, num_streams):
-        # each stream holds one (2n, rows) buffer; every block apply_batch gets is a
-        # read-only, column-major (k, n) window inside it, at n = 3, 8 and 10
+        # each stream holds one (n + w - 1, rows) buffer; every block apply_batch gets
+        # is a read-only, column-major (k, n) window inside it, at n = 3, 8 and 10
         for n in (3, 8, 10):
             m = well_conditioned(n, seed=4).data
             rows, width = _chunk_rows(n) // 4, _frame_width(n)
@@ -236,7 +244,7 @@ class TestSphereEstimator:
             for t in threads:
                 lo = min(start for u, start, *_ in seen if u == t)
                 hi = max(end for u, _, end, *_ in seen if u == t)
-                assert hi - lo <= 8 * 2 * n * rows
+                assert hi - lo <= 8 * (n + width - 1) * rows
 
     @pytest.mark.parametrize("n, num_streams", [pytest.param(10, 1, id="1"),
                                                 pytest.param(10, 2, id="2"),
@@ -281,14 +289,16 @@ class TestSphereEstimator:
             assert sorted(len(g) for _, g in weighs) == want
 
     def test_peak_memory_is_the_frame_block_and_one_image(self):
-        # a 1-stream call at n = 10 holds its draw and its negative, one (2n, rows)
-        # buffer, and one applied image block at a time; the slack is twelve
-        # rows-long vectors: the (8, rows) norm block and the kernel's temporaries,
-        # g's log-norms among them
+        # a 1-stream call at n = 10 holds its draw and the negatives of its last
+        # w - 1 coordinates, one (n + w - 1, rows) buffer, and one applied image
+        # block at a time.  The slack is the (w + 2, rows) norm block, which also
+        # holds g's log-norms, the frame maxima and the returned log-sums, and
+        # 32 KiB for the fold's one rows-long buffer and interpreter objects: a
+        # chunk allocates no other rows-long vector
         n = 10
-        rows = _chunk_rows(n) // 4
+        rows, width = _chunk_rows(n) // 4, _frame_width(n)
         op = operator_from_matrix(well_conditioned(n, seed=3))
-        cfg = EstimatorConfig(3 * _frame_width(n) * rows, seed=5)
+        cfg = EstimatorConfig(3 * width * rows, seed=5)
         inv_det_sphere(op, cfg)
         tracemalloc.start()
         try:
@@ -296,8 +306,8 @@ class TestSphereEstimator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block, image, slack = 8 * 2 * n * rows, 8 * n * rows, 8 * 12 * rows
-        assert peak <= block + image + slack
+        block, image = 8 * (n + width - 1) * rows, 8 * n * rows
+        assert peak <= block + image + 8 * (width + 2) * rows + 32 * 1024
 
     @pytest.mark.parametrize("diag", [[1e170, 1e-170, 1.0, 1.0], [1e-170] * 4,
                                       [1e154, 1.0, 1.0, 1.0], [1e154] + [1.0] * 9,
@@ -422,6 +432,36 @@ class TestInverseSolveEstimator:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_peak_memory_at_n_400_is_the_inverse_the_frame_block_and_one_image(self):
+        # a 1-stream call on a DenseMatrix holds A^-1, the stream's (n + w - 1, rows)
+        # buffer and one image block; factorizing allocates no second n x n array.
+        # The slack is the (w + 2, rows) norm block and 32 KiB for the fold's
+        # rows-long buffer and interpreter objects
+        n = 400
+        rows, width = _chunk_rows(n) // 4, _frame_width(n)
+        m = well_conditioned(n, seed=1, cond=1.1)
+        cfg = EstimatorConfig(3 * width * rows, seed=5)
+        det_via_inverse_solves(m, cfg)
+        tracemalloc.start()
+        try:
+            det_via_inverse_solves(m, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        inverse, block, image = 8 * n * n, 8 * (n + width - 1) * rows, 8 * n * rows
+        assert peak <= inverse + block + image + 8 * (width + 2) * rows + 32 * 1024
+
+    def test_an_estimate_never_computes_the_log_det(self, monkeypatch):
+        # the oracle log|det A| is a second LU factorization, made only when read
+        real, calls = np.linalg.slogdet, []
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a) or real(a))
+        m = well_conditioned(10, seed=2)
+        det_via_inverse_solves(m, EstimatorConfig(800, seed=1, num_streams=2))
+        assert calls == []
+        f = lu_factorize(m)
+        assert log_abs_det(f) == log_abs_det(f) == float(real(m.data)[1])
+        assert len(calls) == 1
 
     def test_singular_matrix_propagates(self):
         with pytest.raises(SingularMatrixError):

@@ -1,6 +1,7 @@
 """Linear-algebra substrate tests against independent oracles (triple loop, cofactor, mpmath)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,21 @@ class TestLUFactorize:
     def test_singular_rejected(self, bad):
         with pytest.raises(SingularMatrixError):
             lu_factorize(DenseMatrix(bad))
+
+    def test_peak_memory_is_the_inverse_and_one_64_row_block(self):
+        # the 1-norm check reduces |A| and |A^-1| 64 rows at a time, so the inverse
+        # is the only n x n array made; the slack, 16 KiB, covers the n column
+        # sums and interpreter objects
+        n = 400
+        m = DenseMatrix(np.eye(n) + np.random.default_rng(7).standard_normal((n, n)) / n)
+        lu_factorize(m)
+        tracemalloc.start()
+        try:
+            lu_factorize(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 8 * 64 * n + 16 * 1024
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-160])
     def test_tiny_but_well_conditioned_accepted(self, scale):

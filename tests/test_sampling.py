@@ -11,6 +11,7 @@ from detmc.ensembles import EnsembleSpec, generate
 from detmc.estimators import (
     DistributionPair,
     EstimatorConfig,
+    _frame_width,
     inv_det_sphere,
     operator_from_matrix,
     sphere_log_weights,
@@ -230,8 +231,9 @@ def test_tiny_row_is_kept_and_weighed_like_its_direction(monkeypatch, n):
     g0 = real(RngStream(12, 0), n, 3).T
     np.testing.assert_array_equal(got[0], 1e-200 * g0[0])
     np.testing.assert_array_equal(got[1:], g0[1:])
-    np.testing.assert_allclose(sphere_log_weights(op, np.hstack([got, got])),
-                               sphere_log_weights(op, np.hstack([g0, g0])), rtol=1e-12)
+    pad = np.zeros((3, _frame_width(n) - 1))  # overwritten by the kernel
+    np.testing.assert_allclose(sphere_log_weights(op, np.hstack([pad, got])),
+                               sphere_log_weights(op, np.hstack([pad, g0])), rtol=1e-12)
     assert inv_det_sphere(op, cfg).log_mean == pytest.approx(want.log_mean, rel=1e-12)
 
 
