@@ -26,6 +26,7 @@ from .linalg import (
     log_abs_det,
     lu_factorize,
 )
+from .sampling import _count
 from .stats import _exp_or_inf
 
 __all__ = ["main"]
@@ -59,17 +60,25 @@ def _exp17(log_x: float) -> str:
     return "overflow" if x == math.inf else _float17(x)
 
 
+def _count_flag(lowest: int):
+    """argparse ``type=`` for a count flag, refused as a library count is."""
+    def count(text: str) -> int:  # argparse words a non-integer as "invalid count value"
+        return _count("value", int(text), lowest, argparse.ArgumentTypeError)
+    return count
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--estimator", required=True, choices=ESTIMATOR_NAMES)
-    p.add_argument("--matrix", help="path to a plain-text matrix file")
-    p.add_argument("--ensemble", choices=sorted(KINDS))
-    p.add_argument("--n", type=int, help="ensemble dimension")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", help="path to a plain-text matrix file")
+    source.add_argument("--ensemble", choices=sorted(KINDS))
+    p.add_argument("--n", type=_count_flag(1), help="ensemble dimension")
     p.add_argument("--scale", type=float, help="scaled_identity factor")
     p.add_argument("--cond", type=float, help="ill_conditioned target condition number")
     p.add_argument("--diag", help="diagonal entries, comma separated")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=1)
+    p.add_argument("--samples", type=_count_flag(1), default=1000)
+    p.add_argument("--seed", type=_count_flag(0), default=0)
+    p.add_argument("--streams", type=_count_flag(1), default=1)
 
 
 def _build_parser() -> _Parser:
@@ -82,28 +91,18 @@ def _build_parser() -> _Parser:
     p_conv = sub.add_parser("convergence", help="write a running-estimate CSV trace")
     _add_run_flags(p_conv)
     p_conv.add_argument("--out", required=True, help="CSV output path")
-    p_conv.add_argument("--trace-stride", type=int, default=0, dest="trace_stride")
+    p_conv.add_argument("--trace-stride", type=_count_flag(0), default=0, dest="trace_stride")
     return parser
 
 
 def _check_args(args) -> None:
-    """Usage errors that need no matrix, raised before any file is read."""
-    if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
-    if (args.matrix is None) == (args.ensemble is None):
-        raise _UsageError("exactly one of --matrix and --ensemble is required")
+    """Usage errors argparse cannot word, raised before any file is read."""
     if args.matrix is not None:
         for flag in ("n", "scale", "cond", "diag"):
             if getattr(args, flag) is not None:
                 raise _UsageError(f"--{flag} is an --ensemble flag; it does not apply to --matrix")
-    if args.samples < 1:
-        raise _UsageError("--samples must be positive")
-    if args.streams < 1:
-        raise _UsageError("--streams must be positive")
     if args.samples % args.streams != 0:
         raise _UsageError("--samples must be divisible by --streams")
-    if getattr(args, "trace_stride", 0) < 0:
-        raise _UsageError("--trace-stride must be non-negative")
 
 
 def _resolve_ensemble(args) -> EnsembleSpec:

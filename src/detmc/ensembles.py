@@ -24,19 +24,14 @@ Families:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DenseMatrix
-from .sampling import RngStream, gaussian_matrix
+from .sampling import RngStream, _count, gaussian_matrix
 
 __all__ = ["EnsembleSpec", "InvalidEnsembleError", "generate", "KINDS", "ENSEMBLE_STREAM_ID"]
-
-KINDS = frozenset(
-    {"gaussian_iid", "orthogonal", "scaled_identity", "diagonal", "ill_conditioned"}
-)
 
 ENSEMBLE_STREAM_ID = 2**63
 
@@ -57,12 +52,8 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InvalidEnsembleError(f"unknown ensemble kind {self.kind!r}")
-        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.seed)):
-            raise InvalidEnsembleError(f"n and seed must be integers, got {self.n!r}, {self.seed!r}")
-        if self.n < 1:
-            raise InvalidEnsembleError("dimension must be positive")
-        if self.seed < 0:
-            raise InvalidEnsembleError("seed must be non-negative")
+        _count("n", self.n, 1, InvalidEnsembleError)
+        _count("seed", self.seed, 0, InvalidEnsembleError)
         for field, kind in (
             ("scale", "scaled_identity"), ("diag", "diagonal"), ("cond", "ill_conditioned")
         ):
@@ -85,21 +76,7 @@ class EnsembleSpec:
 
 def generate(spec: EnsembleSpec) -> DenseMatrix:
     """Deterministically build the matrix described by ``spec``."""
-    rng = RngStream(spec.seed, ENSEMBLE_STREAM_ID)
-    n = spec.n
-    if spec.kind == "gaussian_iid":
-        return DenseMatrix(gaussian_matrix(rng, n, n))
-    if spec.kind == "orthogonal":
-        return DenseMatrix(_haar_orthogonal(rng, n))
-    if spec.kind == "scaled_identity":
-        return DenseMatrix(spec.scale * np.eye(n))
-    if spec.kind == "diagonal":
-        return DenseMatrix(np.diag(np.asarray(spec.diag, dtype=np.float64)))
-    if spec.kind == "ill_conditioned":
-        u = _haar_orthogonal(rng, n)
-        v = _haar_orthogonal(rng, n)
-        return DenseMatrix((u * singular_values(n, spec.cond)) @ v.T)
-    raise InvalidEnsembleError(f"unknown ensemble kind {spec.kind!r}")
+    return DenseMatrix(_BUILDERS[spec.kind](spec, RngStream(spec.seed, ENSEMBLE_STREAM_ID)))
 
 
 def singular_values(n: int, cond: float) -> np.ndarray:
@@ -112,3 +89,17 @@ def _haar_orthogonal(rng: RngStream, n: int) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     return q * signs
+
+
+# each kind's (spec, rng) -> entries; ill_conditioned draws U before V
+_BUILDERS = {
+    "gaussian_iid": lambda spec, rng: gaussian_matrix(rng, spec.n, spec.n),
+    "orthogonal": lambda spec, rng: _haar_orthogonal(rng, spec.n),
+    "scaled_identity": lambda spec, rng: spec.scale * np.eye(spec.n),
+    "diagonal": lambda spec, rng: np.diag(np.asarray(spec.diag, dtype=np.float64)),
+    "ill_conditioned": lambda spec, rng: (
+        (_haar_orthogonal(rng, spec.n) * singular_values(spec.n, spec.cond))
+        @ _haar_orthogonal(rng, spec.n).T
+    ),
+}
+KINDS = frozenset(_BUILDERS)

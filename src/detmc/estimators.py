@@ -61,17 +61,16 @@ concurrent threads, or the estimate must run with ``num_streams = 1``.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import sampling
 from .linalg import DenseMatrix, LUFactorization, lu_factorize, lu_solve_many
-from .sampling import RngStream
+from .sampling import RngStream, _count
 from .stats import StreamingAccumulator, _exp_or_inf
 
 __all__ = [
@@ -134,10 +133,7 @@ class MatrixFreeOperator:
     apply_batch: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"operator dimension must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError("operator dimension must be positive")
+        _count("n", self.n, 1)
 
 
 def operator_from_matrix(m: DenseMatrix) -> MatrixFreeOperator:
@@ -161,22 +157,14 @@ class EstimatorConfig:
     trace_stride: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not isinstance(getattr(self, f.name), numbers.Integral):
-                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be positive")
-        if self.num_streams < 1:
-            raise ValueError("num_streams must be positive")
+        for name, lowest in (("num_samples", 1), ("seed", 0), ("num_streams", 1),
+                             ("trace_stride", 0)):
+            _count(name, getattr(self, name), lowest)
         if self.num_samples % self.num_streams != 0:
             raise ValueError(
                 f"num_samples ({self.num_samples}) must be divisible by "
                 f"num_streams ({self.num_streams})"
             )
-        if self.trace_stride < 0:
-            raise ValueError("trace_stride must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def default_trace_stride(num_samples: int) -> int:
@@ -419,15 +407,11 @@ def _run(new_weigh, n: int, config: EstimatorConfig, rows: int, width: int = 1
         running.append(np.logaddexp(merged.log_total, values) - np.log(j * weights + ends[j]))
         merged = merged.merge(acc)
     trace = tuple(zip(grid.tolist(), np.concatenate(running).tolist())) if stride else None
-    summary = merged.summarize()
     return EstimateResult(
-        log_mean=summary.log_mean,
-        std_error=summary.std_error,
-        rel_std_error=summary.rel_std_error,
+        **merged.summarize()._asdict(),
         n_samples=config.num_samples,
         trace=trace,
         heavy_tail=merged.max_log > -n * _LOG_HEAVY_TAIL,
-        low_count=summary.low_count,
     )
 
 

@@ -49,6 +49,8 @@ class DenseMatrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.data):  # the float64 cast would drop imaginary parts
+            raise ValueError("matrix entries must be real, got a complex array")
         a = np.array(self.data, dtype=np.float64, order="C", copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")

@@ -35,6 +35,19 @@ __all__ = [
 ]
 
 
+def _count(name: str, value, lowest: int, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int if it is an integer of at least ``lowest``; else raise
+    ``error``.  Every count and seed of the package passes this one check: a
+    numpy integer is accepted, a bool is not (True would count as 1)."""
+    # type() first: an isinstance test against numbers.Integral costs about 0.5 us
+    integral = type(value) is int or (isinstance(value, numbers.Integral)
+                                      and not isinstance(value, bool))
+    if not integral or value < lowest:
+        raise error(f"{name} must be one of the integers {lowest}, {lowest + 1}, ...; "
+                    f"got {value!r}")
+    return int(value)
+
+
 class RngStream:
     """Single-owner random stream identified by (seed, stream_id).
 
@@ -43,12 +56,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not (isinstance(seed, numbers.Integral) and isinstance(stream_id, numbers.Integral)):
-            raise ValueError(f"seed and stream_id must be integers, got {seed!r}, {stream_id!r}")
-        if seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be non-negative")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _count("seed", seed, 0)
+        self.stream_id = _count("stream_id", stream_id, 0)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
 

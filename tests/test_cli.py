@@ -314,6 +314,26 @@ class TestExitCodes:
         assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("estimate", ["--samples", "0"], "--samples"),
+            ("estimate", ["--streams", "0"], "--streams"),
+            ("estimate", ["--streams", "-1"], "--streams"),
+            ("convergence", ["--trace-stride", "-1"], "--trace-stride"),
+        ],
+    )
+    def test_bad_count_refused_before_loading_the_matrix(self, command, flags, named, tmp_path,
+                                                         capsys):
+        # a missing file would exit 2 if the matrix were read first
+        out = ["--out", str(tmp_path / "t.csv")] if command == "convergence" else []
+        assert run_cli(
+            command, "--estimator", "sphere_invdet", "--matrix", "/nonexistent/m.txt",
+            *out, *flags,
+        ) == 64
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
         "flags, named",
         [
             (["--ensemble", "gaussian_iid", "--n", "3", "--cond", "5"], "cond"),

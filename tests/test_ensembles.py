@@ -102,6 +102,10 @@ def test_matrix_draws_do_not_consume_estimator_streams():
         dict(kind="gaussian_iid", n=3.0),
         dict(kind="gaussian_iid", n=3, seed=1.5),
         dict(kind="orthogonal", n=3, seed="1"),
+        dict(kind="gaussian_iid", n=True),
+        dict(kind="gaussian_iid", n=False),
+        dict(kind="gaussian_iid", n=3, seed=True),
+        dict(kind="gaussian_iid", n=3, seed=False),
         # a negative seed would fail in RngStream with a plain ValueError
         dict(kind="gaussian_iid", n=3, seed=-1),
     ],

@@ -922,15 +922,24 @@ class TestConfigAndTypes:
             dict(num_samples=1000, seed=1.5),
             dict(num_samples=1000.0),
             dict(num_samples=1000, num_streams=2.0),
+            # a bool is not a count: trace_stride=True recorded a trace point per sample
+            *({"num_samples": 10, name: flag} for name in
+              ("num_samples", "seed", "num_streams", "trace_stride") for flag in (True, False)),
         ],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EstimatorConfig(**kwargs)
 
+    def test_numpy_integers_accepted(self):
+        op = operator_from_matrix(DenseMatrix(2.0 * np.eye(3)))
+        cfg = EstimatorConfig(np.int64(16), np.uint32(3), np.int8(2), np.int16(4))
+        assert inv_det_sphere(op, cfg) == inv_det_sphere(op, EstimatorConfig(16, 3, 2, 4))
+        assert MatrixFreeOperator(np.int32(3), op.apply_batch).n == 3
+
     def test_operator_validation(self):
         # n = 3.0 failed inside numpy; n = 3.5 gave an importance log_mean of 0.0
-        for n in (0, 3.0, 3.5):
+        for n in (0, 3.0, 3.5, True, False):
             with pytest.raises(ValueError):
                 MatrixFreeOperator(n=n, apply_batch=lambda x: x)
 

@@ -97,6 +97,14 @@ class TestDenseMatrix:
         with pytest.raises(ValueError):
             DenseMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("data", [np.diag([2 + 1j, 3 + 1j]), [[1.0, 0.0], [0.0, 1j]],
+                                      np.eye(2, dtype=np.complex64)])
+    def test_rejects_complex(self, data):
+        # the float64 cast dropped imaginary parts: diag(2+i, 3+i) gave log|det| = log 6,
+        # not 1.9560, with only a ComplexWarning
+        with pytest.raises(ValueError, match="real"):
+            log_abs_det(lu_factorize(DenseMatrix(data)))
+
     def test_immutable(self):
         m = DenseMatrix(np.eye(2))
         with pytest.raises(ValueError):

@@ -242,7 +242,8 @@ def test_negative_seed_rejected():
         RngStream(-1, 0)
 
 
-@pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (2.9, 0.7), (2.0, 0), (0, 1.0), ("1", 0)])
+@pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (2.9, 0.7), (2.0, 0), (0, 1.0), ("1", 0),
+                                             (True, 0), (False, 0), (0, True), (0, False)])
 def test_non_integer_seed_or_stream_rejected(seed, stream_id):
     with pytest.raises(ValueError, match="integers"):
         RngStream(seed, stream_id)
