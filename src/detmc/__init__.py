@@ -15,7 +15,6 @@ from .estimators import (
     EstimateResult,
     EstimatorConfig,
     MatrixFreeOperator,
-    SingularDirectionError,
     UnsupportedSampleError,
     det_via_inverse_solves,
     inv_det_importance,
@@ -48,7 +47,6 @@ __all__ = [
     "MatrixFormatError",
     "MatrixFreeOperator",
     "RngStream",
-    "SingularDirectionError",
     "SingularMatrixError",
     "StreamingAccumulator",
     "UnsupportedSampleError",

@@ -36,8 +36,14 @@ EXIT_IO = 2
 EXIT_SINGULAR = 3
 EXIT_USAGE = 64
 
-# sphere_invdet targets 1/|det A|, inverse_solve_det |det A|
-ESTIMATOR_NAMES = ("sphere_invdet", "inverse_solve_det")
+# each estimator's target, the sign of log|det A| in the target's log, and its run on
+# (matrix, factorization, config)
+ESTIMATORS = {
+    "sphere_invdet": ("inverse_abs_det", -1,
+                      lambda m, f, config: inv_det_sphere(operator_from_matrix(m), config)),
+    "inverse_solve_det": ("abs_det", 1, lambda m, f, config: det_via_inverse_solves(f, config)),
+}
+
 
 class _UsageError(Exception):
     pass
@@ -68,7 +74,7 @@ def _count_flag(lowest: int):
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--estimator", required=True, choices=ESTIMATOR_NAMES)
+    p.add_argument("--estimator", required=True, choices=ESTIMATORS)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--matrix", help="path to a plain-text matrix file")
     source.add_argument("--ensemble", choices=sorted(KINDS))
@@ -117,12 +123,9 @@ def _resolve_ensemble(args) -> EnsembleSpec:
         n = len(diag)
     if n is None:
         raise _UsageError("--ensemble requires --n (or --diag for the diagonal kind)")
-    try:
-        return EnsembleSpec(
-            kind=args.ensemble, n=n, seed=args.seed, scale=args.scale, diag=diag, cond=args.cond
-        )
-    except InvalidEnsembleError as exc:
-        raise _UsageError(str(exc))
+    return EnsembleSpec(
+        kind=args.ensemble, n=n, seed=args.seed, scale=args.scale, diag=diag, cond=args.cond
+    )
 
 
 def _run(args, trace_stride: int):
@@ -134,27 +137,22 @@ def _run(args, trace_stride: int):
         matrix = generate(_resolve_ensemble(args))
     f = lu_factorize(matrix)
     config = EstimatorConfig(args.samples, args.seed, args.streams, trace_stride)
-    if args.estimator == "inverse_solve_det":
-        result = det_via_inverse_solves(f, config)
-    else:
-        result = inv_det_sphere(operator_from_matrix(matrix), config)
-    return matrix, log_abs_det(f), result
+    return matrix, log_abs_det(f), ESTIMATORS[args.estimator][2](matrix, f, config)
 
 
 def _estimate(args) -> int:
     matrix, oracle, result = _run(args, 0)
-    targets_det = args.estimator == "inverse_solve_det"
-    target_log = oracle if targets_det else -oracle
+    target, sign, _ = ESTIMATORS[args.estimator]
     lines = [
         f"estimator: {args.estimator}",
-        f"target: {'abs_det' if targets_det else 'inverse_abs_det'}",
+        f"target: {target}",
         f"n: {matrix.n}",
         f"samples: {result.n_samples}",
         f"log_estimate: {_float17(result.log_mean)}",
         f"estimate: {_exp17(result.log_mean)}",
         f"std_error: {_float17(result.std_error)}",
         f"oracle_log_abs_det: {_float17(oracle)}",
-        f"abs_log_error_vs_oracle: {_float17(abs(result.log_mean - target_log))}",
+        f"abs_log_error_vs_oracle: {_float17(abs(result.log_mean - sign * oracle))}",
         f"heavy_tail: {'true' if result.heavy_tail else 'false'}",
         f"low_count: {'true' if result.low_count else 'false'}",
     ]
@@ -183,7 +181,7 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return _estimate(args)
         return _convergence(args)
-    except _UsageError as exc:
+    except (_UsageError, InvalidEnsembleError) as exc:
         print(f"detmc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MatrixFormatError, OSError) as exc:

@@ -31,12 +31,9 @@ computed over independent frames whatever the correlation inside a frame.
 ceil(d / w) rows and weighs the whole frame of its last row, up to w - 1
 directions more than d.  The trace point at direction p of a stream is the
 running mean over the frames of the earlier streams and the first
-ceil(p / w) frames of that stream, so the last point is ``log_mean``.  Each
-stream holds one C-ordered (n + w - 1, k) buffer, all a frame reads: a chunk
-draws its k Gaussian rows as the (n, k) block of rows w - 1: and writes the
-negatives of their last w - 1 coordinates into rows :w - 1, so P^s g is rows
-w - 1 - s to w - 2 - s + n, a column-major (k, n) window that is applied
-where it lies.  The norms of column-major blocks sum contiguous k-long rows.
+ceil(p / w) frames of that stream, so the last point is ``log_mean``.  The
+buffer a frame is read from is laid out in :func:`sphere_log_weights` and
+README's "Memory layout".
 
 Everything is accumulated in log domain: for even modest n the weights span
 ranges that overflow linear float64.  Reported standard errors come from the
@@ -69,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .linalg import DenseMatrix, LUFactorization, lu_factorize, lu_solve_many
+from .linalg import DenseMatrix, LUFactorization, SingularMatrixError, lu_factorize, lu_solve_many
 from .sampling import RngStream, _count
 from .stats import StreamingAccumulator, _exp_or_inf
 
@@ -78,7 +75,6 @@ __all__ = [
     "EstimatorConfig",
     "EstimateResult",
     "DistributionPair",
-    "SingularDirectionError",
     "UnsupportedSampleError",
     "operator_from_matrix",
     "inv_det_sphere",
@@ -101,10 +97,6 @@ def _frame_width(n: int) -> int:
     """Directions the sphere kernel weighs per Gaussian row x: x, Px, ..., P^{w-1} x.
     The negacyclic shift P has P^n = -I, so at most n of them differ up to sign."""
     return min(n, 8)
-
-
-class SingularDirectionError(RuntimeError):
-    """A drawn direction was mapped to the zero vector: the map is rank-deficient."""
 
 
 class UnsupportedSampleError(RuntimeError):
@@ -261,7 +253,7 @@ def _row_log_norms(images: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     if not np.isfinite(m).all():
         raise ValueError("operator produced a non-finite image")
     if not m.all():
-        raise SingularDirectionError(
+        raise SingularMatrixError(
             "a direction was mapped to the zero vector; the matrix is not full rank"
         )
     scaled = images / m[:, np.newaxis]

@@ -35,7 +35,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class SingularMatrixError(ValueError):
-    """The matrix is singular to working precision."""
+    """The matrix, or the map an operator realizes, is singular to working precision."""
 
 
 class MatrixFormatError(ValueError):

@@ -74,9 +74,7 @@ def gaussian_matrix(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = 
     C-contiguous float64 array of shape (k, n); filling it draws the same
     bits as a fresh block.
     """
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 draws of positive dimension")
-    return rng.generator.standard_normal((k, n), out=out)
+    return rng.generator.standard_normal((_count("k", k, 0), _count("n", n, 1)), out=out)
 
 
 def gaussian_directions(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = None
@@ -89,8 +87,7 @@ def gaussian_directions(rng: RngStream, k: int, n: int, *, out: np.ndarray | Non
     possible: each zero row is redrawn in place, in row order, from the same
     stream.  Every other row is kept, however short.
     """
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 draws of positive dimension")
+    k, n = _count("k", k, 0), _count("n", n, 1)
     g = gaussian_matrix(rng, n, k, out=out).T if k else np.empty((0, n))
     while not g.all() and (zero := np.flatnonzero(~g.any(axis=1))).size:
         for i in zero:

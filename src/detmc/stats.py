@@ -114,13 +114,11 @@ class StreamingAccumulator:
         return out
 
     def _absorb(self, count: int, max_log: float, s: float, s2: float) -> None:
-        if count == 0:
-            return
-        if max_log == -math.inf:  # block of all-zero weights
+        if max_log == -math.inf:  # no weights, or all of them zero
             self.count += count
             return
         if max_log > self.max_log:
-            c = math.exp(self.max_log - max_log) if self.count else 0.0  # exponent < 0: no overflow
+            c = math.exp(self.max_log - max_log)  # exponent < 0: no overflow; 0.0 when empty
             self.shifted_sum = self.shifted_sum * c + s
             self.shifted_sum_sq = self.shifted_sum_sq * c * c + s2
             self.max_log = max_log
@@ -146,7 +144,7 @@ class StreamingAccumulator:
         v = m2 - (self.shifted_sum / n) ** 2
         if v <= 32.0 * _EPS * m2:
             v = 0.0
-        if n == 1 or v == 0.0:
+        if v == 0.0:  # a single weight too: s = s2 = 1.0 exactly
             return MomentSummary(log_mean, 0.0, 0.0, n == 1)
         shifted_se = math.sqrt(v / (n - 1))
         return MomentSummary(log_mean, _exp_or_inf(self.max_log) * shifted_se,

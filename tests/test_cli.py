@@ -1,6 +1,10 @@
 """CLI tests: summary fields, CSV traces, exit codes, fault injection."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,3 +369,30 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         capsys.readouterr()
+
+
+RUNTIME_SCRIPT = """
+import sys
+import numpy
+top = lambda names: {name.partition(".")[0] for name in names}
+baseline = top(sys.modules)
+from detmc.cli import main
+code = main(["estimate", "--estimator", "sphere_invdet", "--ensemble", "orthogonal",
+             "--n", "4", "--samples", "64"])
+# numpy.random's Cython extensions register two in-memory modules when they load
+cython = {name for name in sys.modules if name == "cython_runtime" or name.startswith("_cython_")}
+print(sorted(top(sys.modules) - baseline - set(sys.stdlib_module_names) - {"detmc"} - cython))
+sys.exit(code)
+"""
+
+
+def test_the_runtime_needs_only_numpy():
+    # against what the interpreter and numpy had already loaded, not an allow-list: site
+    # set-up may load other packages before any of detmc is imported
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -18,7 +18,6 @@ from detmc.estimators import (
     EstimateResult,
     EstimatorConfig,
     MatrixFreeOperator,
-    SingularDirectionError,
     UnsupportedSampleError,
     _chunk_rows,
     _frame_width,
@@ -92,7 +91,7 @@ class TestSphereEstimator:
 
     def test_zero_map_raises(self):
         op = MatrixFreeOperator(n=3, apply_batch=lambda x: 0.0 * x)
-        with pytest.raises(SingularDirectionError):
+        with pytest.raises(SingularMatrixError):
             inv_det_sphere(op, EstimatorConfig(10, seed=0))
 
     @pytest.mark.parametrize("n", [3, 10, 64])
@@ -361,7 +360,7 @@ class TestSphereEstimator:
                 y[5] = bad
             return y
 
-        error = SingularDirectionError if bad == 0.0 else ValueError
+        error = SingularMatrixError if bad == 0.0 else ValueError
         with pytest.raises(error):
             inv_det_sphere(MatrixFreeOperator(8, apply_batch), EstimatorConfig(800))
 
@@ -942,6 +941,20 @@ class TestConfigAndTypes:
         for n in (0, 3.0, 3.5, True, False):
             with pytest.raises(ValueError):
                 MatrixFreeOperator(n=n, apply_batch=lambda x: x)
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda: inv_det_sphere(MatrixFreeOperator(3, lambda x: 0.0 * x), EstimatorConfig(10)),
+            lambda: det_via_inverse_solves(DenseMatrix(np.array([[1.0, 2.0], [2.0, 4.0]])),
+                                           EstimatorConfig(10)),
+        ],
+        ids=["rank_deficient_operator", "singular_matrix"],
+    )
+    def test_a_rank_deficient_map_is_one_error(self, estimate):
+        # both identities need a full-rank map, whether a zero image or the LU finds it not
+        with pytest.raises(SingularMatrixError):
+            estimate()
 
     def test_result_mean_overflow(self):
         r = EstimateResult(log_mean=800.0, std_error=0.0, rel_std_error=0.0, n_samples=1)

@@ -169,10 +169,22 @@ def test_sphere_norm_property(n, seed):
     assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("bad_n", [0, -3])
+@pytest.mark.parametrize("bad_n", [0, -3, True, 3.0, np.float64(3.0)])
 def test_positive_dimension_required(bad_n):
     with pytest.raises(ValueError):
         gaussian_matrix(RngStream(0, 0), 1, bad_n)
+
+
+@pytest.mark.parametrize("draw", [gaussian_matrix, unit_sphere_many])
+@pytest.mark.parametrize("k, n", [(-1, 3), (True, 3), (2.0, 3), (2, 0), (2, -3), (2, True),
+                                  (2, 3.0)])
+def test_draws_take_counts_as_every_count_is_taken(draw, k, n):
+    # the one count check of the package: a bool or a float is a ValueError, not numpy's
+    # TypeError, and a numpy integer is a count (gaussian_directions: see
+    # test_directions_need_a_non_negative_count_and_positive_dimension)
+    with pytest.raises(ValueError, match="must be one of the integers"):
+        draw(RngStream(0, 0), k, n)
+    assert draw(RngStream(0, 0), np.int64(2), np.int32(3)).shape == (2, 3)
 
 
 @pytest.mark.parametrize("k, n", [(5, 3), (1, 7), (64, 10)])
@@ -188,7 +200,8 @@ def test_directions_are_the_columns_of_an_n_by_k_draw(k, n):
         assert np.shares_memory(got, out)
 
 
-@pytest.mark.parametrize("k, n", [(-1, 3), (2, 0), (2, -3)])
+@pytest.mark.parametrize("k, n", [(-1, 3), (2, 0), (2, -3), (True, 3), (2.0, 3), (2, False),
+                                  (2, 3.0)])
 def test_directions_need_a_non_negative_count_and_positive_dimension(k, n):
     with pytest.raises(ValueError):
         gaussian_directions(RngStream(0, 0), k, n)

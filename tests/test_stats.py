@@ -63,6 +63,29 @@ def test_merge_with_empty_is_identity():
         assert merged.summarize() == acc.summarize()
 
 
+EMPTY, ALL_ZERO, WEIGHTS = [], [-math.inf, -math.inf], [3.0, 3.0, -math.inf]
+
+
+@pytest.mark.parametrize(
+    "left, right, state",
+    [
+        (EMPTY, EMPTY, (0, -math.inf, 0.0, 0.0)),
+        (EMPTY, ALL_ZERO, (2, -math.inf, 0.0, 0.0)),
+        (ALL_ZERO, WEIGHTS, (5, 3.0, 2.0, 2.0)),
+        (WEIGHTS, EMPTY, (3, 3.0, 2.0, 2.0)),
+    ],
+)
+def test_merged_state_is_exact(left, right, state):
+    # exp(-inf) is 0.0 exactly, so a block of zero weights, or none, rescales nothing
+    merged = filled(left).merge(filled(right))
+    assert (merged.count, merged.max_log, merged.shifted_sum, merged.shifted_sum_sq) == state
+
+
+def test_one_weight_summary():
+    for acc in (filled([5.0]), StreamingAccumulator().merge(filled([5.0]))):
+        assert tuple(acc.summarize()) == (5.0, 0.0, 0.0, True)
+
+
 def test_merge_two_singletons():
     merged = filled([math.log(2)]).merge(filled([math.log(4)]))
     assert merged.summarize().log_mean == pytest.approx(math.log(3), abs=1e-15)
