@@ -73,6 +73,14 @@ def _count_flag(lowest: int):
     return count
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    """argparse ``type=`` for ``--diag``: comma-separated floats."""
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated floats, got {text!r}")
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--estimator", required=True, choices=ESTIMATORS)
     source = p.add_mutually_exclusive_group(required=True)
@@ -81,7 +89,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_count_flag(1), help="ensemble dimension")
     p.add_argument("--scale", type=float, help="scaled_identity factor")
     p.add_argument("--cond", type=float, help="ill_conditioned target condition number")
-    p.add_argument("--diag", help="diagonal entries, comma separated")
+    p.add_argument("--diag", type=_floats, help="diagonal entries, comma separated")
     p.add_argument("--samples", type=_count_flag(1), default=1000)
     p.add_argument("--seed", type=_count_flag(0), default=0)
     p.add_argument("--streams", type=_count_flag(1), default=1)
@@ -112,19 +120,13 @@ def _check_args(args) -> None:
 
 
 def _resolve_ensemble(args) -> EnsembleSpec:
-    diag = None
-    if args.diag is not None:
-        try:
-            diag = tuple(float(t) for t in args.diag.split(","))
-        except ValueError:
-            raise _UsageError(f"--diag must be comma-separated floats, got {args.diag!r}")
     n = args.n
-    if n is None and diag is not None:
-        n = len(diag)
+    if n is None and args.diag is not None:
+        n = len(args.diag)
     if n is None:
         raise _UsageError("--ensemble requires --n (or --diag for the diagonal kind)")
     return EnsembleSpec(
-        kind=args.ensemble, n=n, seed=args.seed, scale=args.scale, diag=diag, cond=args.cond
+        kind=args.ensemble, n=n, seed=args.seed, scale=args.scale, diag=args.diag, cond=args.cond
     )
 
 
@@ -190,7 +192,3 @@ def main(argv=None) -> int:
     except SingularMatrixError as exc:
         print(f"detmc: error: singular matrix: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

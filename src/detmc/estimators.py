@@ -339,12 +339,6 @@ def _row_values(name: str, values, k: int) -> np.ndarray:
 # streaming driver
 
 
-def _trace_grid(num_samples: int, stride: int) -> np.ndarray:
-    """1-based sample indices of the trace: every stride-th sample and the last."""
-    grid = np.arange(stride, num_samples + 1, stride, dtype=np.int64)
-    return grid if grid.size and grid[-1] == num_samples else np.append(grid, num_samples)
-
-
 def _chunk_rows(n: int) -> int:
     """Rows per vectorized block: at most 16384 and 2**18 variates (2 MiB of
     float64), so memory does not grow with n.  A pure function of n, so
@@ -361,21 +355,22 @@ def _run(new_weigh, n: int, config: EstimatorConfig, rows: int, width: int = 1
     stream gets its own ``weigh = new_weigh(r)``, r = min(rows, the stream's
     weights), called with k <= r, so the blocks a ``weigh`` refills belong to
     one stream of one call."""
-    per_stream = config.num_samples // config.num_streams
+    total, stride = config.num_samples, config.trace_stride
+    per_stream = total // config.num_streams
     weights = (per_stream + width - 1) // width  # folded by each stream
-    stride = config.trace_stride
-    grid = _trace_grid(config.num_samples, stride) if stride else np.empty(0, np.int64)
-    # stream j holds the grid points in (j * per_stream, (j + 1) * per_stream]; the
-    # weight each falls in, 1-based within the stream, is one of its ``ends``
-    cuts = np.searchsorted(grid, np.arange(config.num_streams + 1) * per_stream, side="right")
-    ends = [(grid[cuts[j]: cuts[j + 1]] - j * per_stream + width - 1) // width
-            for j in range(config.num_streams)]
+    # the trace plan: 1-based sample indices, every stride-th and the last (the range
+    # stops below the last, so it is listed once), and the weight each closes in its
+    # stream, 1-based.  Stream j holds the points in (j * per_stream, (j + 1) * per_stream]
+    grid = np.append(np.arange(stride, total, stride), total) if stride else np.empty(0, int)
+    ends = (grid - 1) % per_stream // width + 1
 
     def run(j: int):
         """Fold stream j's weights in chunks of at most ``rows``: its accumulator
         and the log-total of its weights up to each of its ``ends``."""
         weigh = new_weigh(min(rows, weights))  # owned by this stream for this call only
-        rng, acc, at = RngStream(config.seed, j), StreamingAccumulator(), ends[j]
+        rng, acc = RngStream(config.seed, j), StreamingAccumulator()
+        # a view: the plan is two vectors, however many streams read it
+        at = ends[slice(*np.searchsorted(grid, (j * per_stream, (j + 1) * per_stream), "right"))]
         values = np.empty(at.size)
         for done in range(0, weights, rows):
             k = min(rows, weights - done)
@@ -392,13 +387,15 @@ def _run(new_weigh, n: int, config: EstimatorConfig, rows: int, width: int = 1
         results = [run(0)] + [f.result() for f in futures]
     # merge in stream-id order: reproducible regardless of worker scheduling.  The
     # running mean at a grid point of stream j averages the weights of the streams
-    # before it and the first ``ends`` weights of stream j
-    merged = StreamingAccumulator()
-    running = []
-    for j, (acc, values) in enumerate(results):
-        running.append(np.logaddexp(merged.log_total, values) - np.log(j * weights + ends[j]))
+    # before it, whose log-total is before[j], and the first ``ends`` weights of stream j
+    merged, before = StreamingAccumulator(), []
+    for acc, _ in results:
+        before.append(merged.log_total)
         merged = merged.merge(acc)
-    trace = tuple(zip(grid.tolist(), np.concatenate(running).tolist())) if stride else None
+    stream = (grid - 1) // per_stream
+    running = (np.logaddexp(np.take(before, stream), np.concatenate([v for _, v in results]))
+               - np.log(stream * weights + ends))
+    trace = tuple(zip(grid.tolist(), running.tolist())) if stride else None
     return EstimateResult(
         **merged.summarize()._asdict(),
         n_samples=config.num_samples,

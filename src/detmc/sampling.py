@@ -61,9 +61,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
 
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
 
 def gaussian_matrix(rng: RngStream, k: int, n: int, *, out: np.ndarray | None = None
                     ) -> np.ndarray:

@@ -114,38 +114,34 @@ class StreamingAccumulator:
         return out
 
     def _absorb(self, count: int, max_log: float, s: float, s2: float) -> None:
-        if max_log == -math.inf:  # no weights, or all of them zero
-            self.count += count
-            return
-        if max_log > self.max_log:
-            c = math.exp(self.max_log - max_log)  # exponent < 0: no overflow; 0.0 when empty
-            self.shifted_sum = self.shifted_sum * c + s
-            self.shifted_sum_sq = self.shifted_sum_sq * c * c + s2
-            self.max_log = max_log
-        else:
-            c = math.exp(max_log - self.max_log)
-            self.shifted_sum += s * c
-            self.shifted_sum_sq += s2 * c * c
         self.count += count
+        if max_log == -math.inf:  # no weights, or all of them zero (and -inf - -inf is NaN)
+            return
+        # rescale both sides to the larger maximum: one factor is exp(0.0) == 1.0
+        # exactly, the other is at most 1 (0.0 when this side is empty)
+        top = max(self.max_log, max_log)
+        a, b = math.exp(self.max_log - top), math.exp(max_log - top)
+        self.shifted_sum = self.shifted_sum * a + s * b
+        self.shifted_sum_sq = self.shifted_sum_sq * a * a + s2 * b * b
+        self.max_log = top
 
     def summarize(self) -> MomentSummary:
         """Log-mean and linear-domain standard error of the mean so far."""
         if self.count == 0:
             raise ValueError("cannot summarize an empty accumulator")
         n = self.count
-        if self.shifted_sum == 0.0:  # every weight was zero
-            return MomentSummary(-math.inf, 0.0, 0.0, n == 1)
-        log_mean = self.max_log + math.log(self.shifted_sum / n)
+        # the largest weight adds exp(0) = 1 to the shifted sum, so mean >= 1/n
+        # unless every weight was zero
+        mean = self.shifted_sum / n
+        log_mean = self.max_log + math.log(mean) if mean else -math.inf
         # variance of the shifted weights, computed from raw moments; the
         # subtraction cancels catastrophically once the true variance drops
         # below ~eps * m2, so anything under that floor is indistinguishable
-        # from "all weights equal" and reported as exactly zero
+        # from "all weights equal" and reported as exactly zero.  One weight
+        # has s = s2 = 1.0, so v = 0 exactly and n - 1 is never divided by
         m2 = self.shifted_sum_sq / n
-        v = m2 - (self.shifted_sum / n) ** 2
-        if v <= 32.0 * _EPS * m2:
-            v = 0.0
-        if v == 0.0:  # a single weight too: s = s2 = 1.0 exactly
+        v = m2 - mean ** 2
+        se = math.sqrt(v / (n - 1)) if v > 32.0 * _EPS * m2 else 0.0
+        if not se:  # exp(max_log) may overflow, and inf * 0 is NaN
             return MomentSummary(log_mean, 0.0, 0.0, n == 1)
-        shifted_se = math.sqrt(v / (n - 1))
-        return MomentSummary(log_mean, _exp_or_inf(self.max_log) * shifted_se,
-                             shifted_se / (self.shifted_sum / n), False)
+        return MomentSummary(log_mean, _exp_or_inf(self.max_log) * se, se / mean, False)

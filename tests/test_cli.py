@@ -293,6 +293,26 @@ class TestExitCodes:
             "--diag", "1,2,3", "--n", "2", "--samples", "10",
         ) == 64
 
+    def test_matrix_file_with_a_token_that_is_not_a_float(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\n1 x\n0 1\n")
+        assert run_cli(
+            "estimate", "--estimator", "sphere_invdet", "--matrix", str(bad),
+            "--samples", "10",
+        ) == 2
+        assert "could not convert string to float: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--ensemble", "diagonal", "--diag", "1,x"], "--diag"),
+            (["--ensemble", "gaussian_iid"], "--n"),
+        ],
+    )
+    def test_ensemble_flag_usage_error(self, flags, named, capsys):
+        assert run_cli("estimate", "--estimator", "sphere_invdet", "--samples", "10", *flags) == 64
+        assert named in capsys.readouterr().err
+
     def test_negative_seed_usage_error(self, capsys):
         assert run_cli(
             "estimate", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",

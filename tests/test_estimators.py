@@ -21,7 +21,6 @@ from detmc.estimators import (
     UnsupportedSampleError,
     _chunk_rows,
     _frame_width,
-    _trace_grid,
     default_trace_stride,
     det_via_inverse_solves,
     importance_log_weights,
@@ -732,6 +731,12 @@ class TestStreams:
             ("importance", 10, 2, ("-0x1.a6b015fd0bd8cp+2", "0x1.21711dddc6fb9p-11",
                                    "-0x1.a6b015fd0bd8bp+2",
                                    "443028d7e16cd03a913880671a236b7e25ac166b")),
+            ("inverse", 10, 1, ("0x1.4c653601a0b86p+2", "0x1.4e4a70bbdebb5p+4",
+                                "0x1.4c653601a0b84p+2",
+                                "3575f102f4fd4167671df23d115c917eeac89bb3")),
+            ("inverse", 10, 2, ("0x1.6c29e383ccf9bp+2", "0x1.ce36d63912f35p+5",
+                                "0x1.6c29e383ccf9ap+2",
+                                "300b64c39d2c7f5a0d29e203a32c8b486000c632")),
         ],
     )
     def test_seeded_bits_pinned_up_to_n_16(self, estimator, n, num_streams, want):
@@ -740,10 +745,13 @@ class TestStreams:
         # four, n = 10 when every n did, both at rounding level with the
         # column-major frame, and both with frames of eight, with the
         # column-major draw and with frames of negacyclic shifts)
-        op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=n, seed=1)))
+        m = generate(EnsembleSpec("gaussian_iid", n=n, seed=1))
+        op = operator_from_matrix(m)
         cfg = EstimatorConfig(40_000, seed=3, num_streams=num_streams, trace_stride=997)
         if estimator == "sphere":
             r = inv_det_sphere(op, cfg)
+        elif estimator == "inverse":
+            r = det_via_inverse_solves(m, cfg)
         else:
             r = inv_det_importance(op, DistributionPair.gaussian_q(n, 2.0), cfg)
         # the SHA-1 pins every trace point, index and float.hex
@@ -753,8 +761,9 @@ class TestStreams:
 
     @pytest.mark.parametrize("num_samples", [1, 10_000, 10_001, 19_999, 2**21])
     def test_default_trace_stride_keeps_at_most_10_4_points(self, num_samples):
-        stride = default_trace_stride(num_samples)
-        assert 1 <= _trace_grid(num_samples, stride).size <= 10_000
+        op = operator_from_matrix(DenseMatrix(np.array([[2.0]])))
+        cfg = EstimatorConfig(num_samples, trace_stride=default_trace_stride(num_samples))
+        assert 1 <= len(inv_det_sphere(op, cfg).trace) <= 10_000
 
     def test_trace_covers_stride_grid_across_streams(self):
         m = generate(EnsembleSpec("gaussian_iid", n=3, seed=6))
@@ -827,6 +836,34 @@ class TestStreams:
             else:
                 assert running == pytest.approx(want[index - 1], rel=1e-12)
         assert r.trace[-1][1] == pytest.approx(r.log_mean, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "zero_on, num_streams, want",
+        [
+            ("half", 1, ("-0x1.5be85ed68cebcp+0", "0x1.c176f8f6894b0p-8",
+                         "522103df7ac3a914a6f5e9e78fc1d60bfacd62cc")),
+            ("half", 2, ("-0x1.571f34b5f4528p+0", "0x1.29df9b5f167d3p-7",
+                         "fe2f0c76ffb490250ea9224cee9995a7bce2b962")),
+            ("all", 1, ("-inf", "0x0.0p+0", "e831bb26c114af115850e86e45ad990a18b8822e")),
+            ("all", 2, ("-inf", "0x0.0p+0", "e831bb26c114af115850e86e45ad990a18b8822e")),
+        ],
+    )
+    def test_trace_with_zero_weights_pinned(self, zero_on, num_streams, want):
+        # p has zero density on the rows whose image has a positive first
+        # coordinate, or on every row; the SHA-1 pins every trace point
+        base = DistributionPair.gaussian_q(3, 1.0)
+
+        def log_p(y):
+            out = base.log_p(y)
+            out[y[:, 0] > 0.0 if zero_on == "half" else slice(None)] = -math.inf
+            return out
+
+        dist = DistributionPair(log_p=log_p, q_sampler=base.q_sampler, log_q=base.log_q)
+        op = operator_from_matrix(generate(EnsembleSpec("gaussian_iid", n=3, seed=6)))
+        cfg = EstimatorConfig(40_000, seed=2, num_streams=num_streams, trace_stride=7)
+        r = inv_det_importance(op, dist, cfg)
+        points = hashlib.sha1(" ".join(f"{i}:{v.hex()}" for i, v in r.trace).encode())
+        assert (r.log_mean.hex(), r.std_error.hex(), points.hexdigest()) == want
 
     def test_trace_with_weights_spanning_thousands_of_nats(self):
         # rows 40 and 120 of the only chunk weigh about e^1000 and e^1900, so
@@ -1043,6 +1080,11 @@ class TestConfigAndTypes:
         op = MatrixFreeOperator(n=2, apply_batch=lambda x: x)
         with pytest.raises(ValueError, match="log-weights"):
             inv_det_importance(op, dist, EstimatorConfig(1000))
+
+    @pytest.mark.parametrize("q_variance", [0.0, -1.0, math.nan, math.inf])
+    def test_q_variance_must_be_positive_and_finite(self, q_variance):
+        with pytest.raises(ValueError, match="q_variance"):
+            DistributionPair.gaussian_q(3, q_variance)
 
     @pytest.mark.parametrize("q_dim", [4, 2])
     def test_q_of_the_wrong_dimension_is_loud(self, q_dim):

@@ -321,6 +321,7 @@ class TestMatrixFiles:
             "2\n1 2 3 4 5\n",
             "-1\n",
             "2\n1 2\n3 inf\n",
+            "2\n1 x\n3 4\n",
             b"\xef\xbb\xbf2\n1 2\n3 4\n",  # UTF-8 byte order mark
             "2\n1 \u22122\n3 4\n".encode(),  # U+2212 minus sign
         ],

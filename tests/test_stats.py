@@ -64,6 +64,7 @@ def test_merge_with_empty_is_identity():
 
 
 EMPTY, ALL_ZERO, WEIGHTS = [], [-math.inf, -math.inf], [3.0, 3.0, -math.inf]
+E = math.exp(-1.0)
 
 
 @pytest.mark.parametrize(
@@ -73,6 +74,11 @@ EMPTY, ALL_ZERO, WEIGHTS = [], [-math.inf, -math.inf], [3.0, 3.0, -math.inf]
         (EMPTY, ALL_ZERO, (2, -math.inf, 0.0, 0.0)),
         (ALL_ZERO, WEIGHTS, (5, 3.0, 2.0, 2.0)),
         (WEIGHTS, EMPTY, (3, 3.0, 2.0, 2.0)),
+        # an incoming maximum above, below and equal to the one held: the held
+        # sums, or the incoming ones, are scaled by E = e^-1, the other by 1
+        ([0.0, 0.0], [1.0], (3, 1.0, 2.0 * E + 1.0, 2.0 * E * E + 1.0)),
+        ([1.0], [0.0, 0.0], (3, 1.0, 1.0 + 2.0 * E, 1.0 + 2.0 * E * E)),
+        ([2.0], [2.0, 2.0], (3, 2.0, 3.0, 3.0)),
     ],
 )
 def test_merged_state_is_exact(left, right, state):
@@ -217,6 +223,11 @@ def test_update_many_running_totals_match_oracle(before, block, at):
     assert acc.log_total == pytest.approx(mp_log_sum(lw), rel=1e-12, abs=1e-12)
     # listing positions leaves the fold bit for bit as it is without them
     assert dataclasses.astuple(acc) == dataclasses.astuple(plain)
+
+
+def test_update_many_needs_a_1d_block():
+    with pytest.raises(ValueError, match="1-D"):
+        StreamingAccumulator().update_many(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("at", [[-1], [3], [2, 1]])
