@@ -105,7 +105,6 @@ def _build_parser() -> _Parser:
     p_conv = sub.add_parser("convergence", help="write a running-estimate CSV trace")
     _add_run_flags(p_conv)
     p_conv.add_argument("--out", required=True, help="CSV output path")
-    p_conv.add_argument("--trace-stride", type=_count_flag(0), default=0, dest="trace_stride")
     return parser
 
 
@@ -153,9 +152,9 @@ def _estimate(args) -> int:
         f"log_estimate: {_float17(result.log_mean)}",
         f"estimate: {_exp17(result.log_mean)}",
         f"std_error: {_float17(result.std_error)}",
+        f"rel_std_error: {_float17(result.rel_std_error)}",
         f"oracle_log_abs_det: {_float17(oracle)}",
         f"abs_log_error_vs_oracle: {_float17(abs(result.log_mean - sign * oracle))}",
-        f"heavy_tail: {'true' if result.heavy_tail else 'false'}",
         f"low_count: {'true' if result.low_count else 'false'}",
     ]
     print("\n".join(lines))
@@ -163,7 +162,7 @@ def _estimate(args) -> int:
 
 
 def _convergence(args) -> int:
-    _, oracle, result = _run(args, args.trace_stride or default_trace_stride(args.samples))
+    _, oracle, result = _run(args, default_trace_stride(args.samples))
     oracle_txt = _float17(oracle)
     rows = ["sample_index,running_log_estimate,running_estimate,oracle_log_abs_det"]
     for index, running_log in result.trace:

@@ -41,11 +41,8 @@ empirical second moment.  For full-rank A, ||A s||^{-n} <= sigma_min(A)^{-n}:
 the sphere and inverse-solve weights have every moment finite, and their
 variance, however huge on ill-conditioned input, is never infinite.  Only
 the importance weight can have infinite variance (with ``gaussian_q(n, v)``,
-when 2 v sigma_min^2 <= 1).  The ``heavy_tail`` flag is a scale test: some
-folded log-weight (a frame mean, for the sphere form) exceeds
--n log(1e-150), a mean weight above 1e150^n.  It fires on 1e-200 I, whose
-variance is 0.  Confidence-interval-based checks in this package stick to
-well-conditioned ensembles.
+when 2 v sigma_min^2 <= 1).  Confidence-interval-based checks in this
+package stick to well-conditioned ensembles.
 
 Sampling is partitioned evenly across ``num_streams`` independent substreams
 (stream 0 on the calling thread, one pool thread per further stream up to
@@ -60,7 +57,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -68,7 +65,7 @@ import numpy as np
 from . import sampling
 from .linalg import DenseMatrix, LUFactorization, SingularMatrixError, lu_factorize, lu_solve_many
 from .sampling import RngStream, _count
-from .stats import StreamingAccumulator, _exp_or_inf
+from .stats import EstimateResult, StreamingAccumulator
 
 __all__ = [
     "MatrixFreeOperator",
@@ -85,10 +82,6 @@ __all__ = [
     "default_trace_stride",
 ]
 
-
-# an image norm of a unit direction below exp(_LOG_HEAVY_TAIL) = 1e-150
-# makes the weight > 1e150^n: keep going, but flag the result as heavy-tailed
-_LOG_HEAVY_TAIL = math.log(1e-150)
 
 _TINY_NORMAL = float(np.finfo(np.float64).tiny)
 
@@ -162,33 +155,6 @@ class EstimatorConfig:
 def default_trace_stride(num_samples: int) -> int:
     """Stride keeping traces at <= 10^4 points regardless of sample count."""
     return (num_samples + 9_999) // 10_000
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    """Streaming Monte Carlo summary.
-
-    ``log_mean`` is authoritative; ``mean`` is its exponential and may
-    overflow to +inf.  ``std_error`` is the linear-domain standard error of
-    the mean, advisory only for importance weights of infinite variance (see
-    the module docstring), and may overflow with it.  ``rel_std_error`` is
-    ``std_error / mean`` computed without overflow, the delta-method standard
-    error of ``log_mean``.  ``heavy_tail`` flags a mean weight above
-    1e150^n, a scale test.  ``trace`` holds (sample_index, running_log_mean)
-    pairs when a trace was requested.
-    """
-
-    log_mean: float
-    std_error: float
-    rel_std_error: float
-    n_samples: int
-    trace: tuple[tuple[int, float], ...] | None = None
-    heavy_tail: bool = False
-    low_count: bool = False
-
-    @property
-    def mean(self) -> float:
-        return _exp_or_inf(self.log_mean)
 
 
 @dataclass(frozen=True)
@@ -348,8 +314,7 @@ def _chunk_rows(n: int) -> int:
     return min(16384, max(1, 2**18 // n))
 
 
-def _run(new_weigh, n: int, config: EstimatorConfig, rows: int, width: int = 1
-         ) -> EstimateResult:
+def _run(new_weigh, config: EstimatorConfig, rows: int, width: int = 1) -> EstimateResult:
     """Fold ``weigh(rng, k)``, k log-weights each the mean over ``width`` samples,
     until every stream has covered its share of ``config.num_samples``.  Each
     stream gets its own ``weigh = new_weigh(r)``, r = min(rows, the stream's
@@ -396,12 +361,7 @@ def _run(new_weigh, n: int, config: EstimatorConfig, rows: int, width: int = 1
     running = (np.logaddexp(np.take(before, stream), np.concatenate([v for _, v in results]))
                - np.log(stream * weights + ends))
     trace = tuple(zip(grid.tolist(), running.tolist())) if stride else None
-    return EstimateResult(
-        **merged.summarize()._asdict(),
-        n_samples=config.num_samples,
-        trace=trace,
-        heavy_tail=merged.max_log > -n * _LOG_HEAVY_TAIL,
-    )
+    return replace(merged.summarize(), n_samples=config.num_samples, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +391,7 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
 
     # a quarter of _chunk_rows(n) Gaussian rows per chunk: the buffer and one applied
     # image hold at most 5/8 of the 2 MiB a chunk may hold (n <= 2**16), half at n >= 100
-    return _run(new_weigh, n, config, max(1, _chunk_rows(n) // 4), width=width)
+    return _run(new_weigh, config, max(1, _chunk_rows(n) // 4), width=width)
 
 
 def inv_det_importance(
@@ -446,7 +406,7 @@ def inv_det_importance(
                              f"got shape {np.shape(x)}")
         return importance_log_weights(op, dist, x)
 
-    return _run(lambda rows: weigh, op.n, config, _chunk_rows(op.n))
+    return _run(lambda rows: weigh, config, _chunk_rows(op.n))
 
 
 def det_via_inverse_solves(

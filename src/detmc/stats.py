@@ -12,11 +12,13 @@ which is enough to recover the log of the mean weight and the linear-domain
 standard error of the mean.  ``log_total`` is the log of the running sum, and
 ``update_many`` reports it after chosen positions of a block from the shifted
 weights it folds: the estimators' traces.  Standard errors use the sample
-variance with Bessel correction (count - 1); a single sample reports
-std_error = 0 with ``low_count`` set.  The standard error can overflow to
-+inf for extreme log-ranges; that is reported as-is, never raised.  The
+variance with Bessel correction (count - 1).  A zero that carries no
+information about the spread, from one folded weight or from weights that
+are all zero, comes with ``low_count`` set.  The standard error can overflow
+to +inf for extreme log-ranges; that is reported as-is, never raised.  The
 relative standard error, std_error / mean, is computed from the shifted sums
-alone, so it never overflows.
+alone, so it never overflows.  :meth:`StreamingAccumulator.summarize` returns
+the estimators' own :class:`EstimateResult`.
 
 A log-weight of -inf is accepted and means "weight exactly zero": it bumps
 the count without touching the sums.  NaN and +inf are contract violations.
@@ -26,11 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["StreamingAccumulator", "MomentSummary"]
+__all__ = ["StreamingAccumulator", "EstimateResult"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -42,11 +43,31 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-class MomentSummary(NamedTuple):
+@dataclass(frozen=True)
+class EstimateResult:
+    """Streaming Monte Carlo summary.
+
+    ``log_mean`` is authoritative; ``mean`` is its exponential and may
+    overflow to +inf.  ``std_error`` is the linear-domain standard error of
+    the mean, advisory only for importance weights of infinite variance (see
+    :mod:`detmc.estimators`), and may overflow with it.  ``rel_std_error`` is
+    ``std_error / mean`` computed without overflow, the delta-method standard
+    error of ``log_mean``.  ``trace`` holds (sample_index, running_log_mean)
+    pairs when a trace was requested.  ``low_count`` marks a ``std_error`` of
+    0 that says nothing about the spread: one weight folded, or every weight
+    zero.
+    """
+
     log_mean: float
     std_error: float
     rel_std_error: float
-    low_count: bool
+    n_samples: int
+    trace: tuple[tuple[int, float], ...] | None = None
+    low_count: bool = False
+
+    @property
+    def mean(self) -> float:
+        return _exp_or_inf(self.log_mean)
 
 
 @dataclass
@@ -125,8 +146,9 @@ class StreamingAccumulator:
         self.shifted_sum_sq = self.shifted_sum_sq * a * a + s2 * b * b
         self.max_log = top
 
-    def summarize(self) -> MomentSummary:
-        """Log-mean and linear-domain standard error of the mean so far."""
+    def summarize(self) -> EstimateResult:
+        """Log-mean and linear-domain standard error of the mean of the
+        ``n_samples`` weights folded so far."""
         if self.count == 0:
             raise ValueError("cannot summarize an empty accumulator")
         n = self.count
@@ -143,5 +165,5 @@ class StreamingAccumulator:
         v = m2 - mean ** 2
         se = math.sqrt(v / (n - 1)) if v > 32.0 * _EPS * m2 else 0.0
         if not se:  # exp(max_log) may overflow, and inf * 0 is NaN
-            return MomentSummary(log_mean, 0.0, 0.0, n == 1)
-        return MomentSummary(log_mean, _exp_or_inf(self.max_log) * se, se / mean, False)
+            return EstimateResult(log_mean, 0.0, 0.0, n, low_count=n == 1 or not mean)
+        return EstimateResult(log_mean, _exp_or_inf(self.max_log) * se, se / mean, n)

@@ -1,4 +1,5 @@
-"""Every ``detmc ...`` command in README's CLI section runs and exits 0."""
+"""README's CLI section: every ``detmc ...`` command runs and exits 0, and the
+keys it lists are the ones ``detmc estimate`` prints, in order."""
 
 import pathlib
 import re
@@ -13,9 +14,12 @@ from detmc.linalg import DenseMatrix, save_matrix
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
+def cli_section():
+    return README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
 def cli_commands():
-    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    block = re.search(r"```bash\n(.*?)```", cli_section(), re.S).group(1)
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line) for line in lines if line.startswith("detmc ")]
 
@@ -29,3 +33,11 @@ def test_readme_command_exits_zero(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     save_matrix(tmp_path / "my_matrix.txt", DenseMatrix(np.diag([2.0, -1.0, 0.5])))
     assert main(argv[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_lists_the_keys_estimate_prints(capsys):
+    listed = cli_section().split("line per key, in this order:", 1)[1].split(". ", 1)[0]
+    assert main(["estimate", "--estimator", "sphere_invdet", "--ensemble", "orthogonal",
+                 "--n", "3", "--samples", "6"]) == 0
+    printed = [line.partition(": ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert re.findall(r"`(\w+)`", listed) == printed

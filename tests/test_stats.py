@@ -89,7 +89,9 @@ def test_merged_state_is_exact(left, right, state):
 
 def test_one_weight_summary():
     for acc in (filled([5.0]), StreamingAccumulator().merge(filled([5.0]))):
-        assert tuple(acc.summarize()) == (5.0, 0.0, 0.0, True)
+        s = acc.summarize()
+        assert (s.log_mean, s.std_error, s.rel_std_error, s.n_samples) == (5.0, 0.0, 0.0, 1)
+        assert s.low_count
 
 
 def test_merge_two_singletons():
@@ -159,6 +161,8 @@ def test_neg_inf_means_zero_weight():
     all_zero = filled([-math.inf, -math.inf]).summarize()
     assert all_zero.log_mean == -math.inf
     assert all_zero.std_error == all_zero.rel_std_error == 0.0
+    # that zero says nothing about the spread
+    assert all_zero.low_count
 
 
 def test_empty_summarize_raises():
