@@ -390,6 +390,18 @@ class TestExitCodes:
         assert run_cli("estimate", "--estimator", "sphere_invdet", "--samples", "10", *flags) == 64
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "convergence"])
+    def test_trace_stride_flag_is_refused(self, command, tmp_path, capsys):
+        # convergence always uses the default stride and estimate prints no trace,
+        # so a stride given on the command line would be silently ignored
+        assert run_cli(
+            command, "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--n", "3", "--samples", "10", "--out", str(tmp_path / "t.csv"),
+            "--trace-stride", "1",
+        ) == 64
+        assert "--trace-stride" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         capsys.readouterr()

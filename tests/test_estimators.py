@@ -133,6 +133,19 @@ class TestSphereEstimator:
         assert r.log_mean == pytest.approx(-2.0 * math.log(1e-160), rel=1e-12)
         assert r.mean == math.inf
 
+    @pytest.mark.parametrize("scale", [1e-149, 1e-151])
+    def test_exact_on_both_sides_of_image_norm_1e_150(self, scale):
+        # images this small once raised a flag that fired on exact results;
+        # the weights are all equal, so the spread is a true zero
+        m = DenseMatrix(scale * np.eye(3))
+        cfg = EstimatorConfig(10, seed=0, num_streams=2)
+        for r in (inv_det_sphere(operator_from_matrix(m), cfg),
+                  det_via_inverse_solves(DenseMatrix(np.eye(3) / scale), cfg)):
+            assert r.log_mean == pytest.approx(-3.0 * math.log(scale), rel=1e-12)
+            assert r.std_error == 0.0
+            assert not r.low_count
+            assert not hasattr(r, "heavy_tail")
+
     def test_zero_draw_is_redrawn_not_singular(self, monkeypatch):
         real = detmc.sampling.gaussian_matrix
         calls = []
