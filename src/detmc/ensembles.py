@@ -17,8 +17,8 @@ Families:
 * ``diagonal``: diag(entries), all entries nonzero.
 * ``ill_conditioned``: U diag(sigma) V^T with Haar U, V and sigma
   log-spaced from 1 down to 1/cond.  Small cond values double as
-  "well-conditioned matrix with known singular values"; large ones are the
-  stress profile for the heavy-tail caveat on estimator standard errors.
+  "well-conditioned matrix with known singular values"; large ones are where
+  a short run's standard error can understate its error (README, Caveats).
 """
 
 from __future__ import annotations

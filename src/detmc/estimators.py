@@ -329,37 +329,31 @@ def _run(new_weigh, config: EstimatorConfig, rows: int, width: int = 1) -> Estim
     grid = np.append(np.arange(stride, total, stride), total) if stride else np.empty(0, int)
     ends = (grid - 1) % per_stream // width + 1
 
-    def run(j: int):
-        """Fold stream j's weights in chunks of at most ``rows``: its accumulator
-        and the log-total of its weights up to each of its ``ends``."""
+    def run(j: int) -> StreamingAccumulator:
+        """Fold stream j's weights in chunks of at most ``rows``, marking the
+        log-total of its weights up to each of its ``ends``."""
         weigh = new_weigh(min(rows, weights))  # owned by this stream for this call only
         rng, acc = RngStream(config.seed, j), StreamingAccumulator()
         # a view: the plan is two vectors, however many streams read it
         at = ends[slice(*np.searchsorted(grid, (j * per_stream, (j + 1) * per_stream), "right"))]
-        values = np.empty(at.size)
         for done in range(0, weights, rows):
             k = min(rows, weights - done)
-            w = weigh(rng, k)
             lo, hi = np.searchsorted(at, (done, done + k), side="right")
-            values[lo:hi] = acc.update_many(w, at=at[lo:hi] - done - 1)
-        return acc, values
+            acc.update_many(weigh(rng, k), at=at[lo:hi] - done - 1)
+        return acc
 
     # stream 0 on this thread, so a 1-stream call starts no thread; an exception
     # in any stream is raised once the pool has finished every other stream
     workers = max(1, min(config.num_streams, os.cpu_count() or 1) - 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run, j) for j in range(1, config.num_streams)]
-        results = [run(0)] + [f.result() for f in futures]
-    # merge in stream-id order: reproducible regardless of worker scheduling.  The
-    # running mean at a grid point of stream j averages the weights of the streams
-    # before it, whose log-total is before[j], and the first ``ends`` weights of stream j
-    merged, before = StreamingAccumulator(), []
-    for acc, _ in results:
-        before.append(merged.log_total)
-        merged = merged.merge(acc)
-    stream = (grid - 1) // per_stream
-    running = (np.logaddexp(np.take(before, stream), np.concatenate([v for _, v in results]))
-               - np.log(stream * weights + ends))
+        merged = run(0)
+        for future in futures:  # in stream-id order: reproducible whatever the scheduling
+            merged = merged.merge(future.result())
+    # the merged marks are the log-totals at the grid points: a point of stream j
+    # averages the weights of the streams before it and the first ``ends`` of stream j
+    marks = np.concatenate(merged.marks or [np.empty(0)])  # a call without a trace marks none
+    running = marks - np.log((grid - 1) // per_stream * weights + ends)
     trace = tuple(zip(grid.tolist(), running.tolist())) if stride else None
     return replace(merged.summarize(), n_samples=config.num_samples, trace=trace)
 

@@ -9,9 +9,10 @@ The accumulator tracks
     shifted_sum_sq = sum(exp(2 (lw_i - max_log)))
 
 which is enough to recover the log of the mean weight and the linear-domain
-standard error of the mean.  ``log_total`` is the log of the running sum, and
-``update_many`` reports it after chosen positions of a block from the shifted
-weights it folds: the estimators' traces.  Standard errors use the sample
+standard error of the mean.  ``log_total`` is the log of the running sum.
+``update_many`` records it after chosen positions of a block, from the shifted
+weights it folds, in ``marks``, and ``merge`` offsets a later stream's marks by
+the total before it: the estimators' traces.  Standard errors use the sample
 variance with Bessel correction (count - 1).  A zero that carries no
 information about the spread, from one folded weight or from weights that
 are all zero, comes with ``low_count`` set.  The standard error can overflow
@@ -27,7 +28,7 @@ the count without touching the sums.  NaN and +inf are contract violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,23 +78,27 @@ class StreamingAccumulator:
     Instances are mutable and not thread-safe.  Parallel use means one
     accumulator per worker, combined afterwards with :meth:`merge` in a
     fixed worker order (merging in a fixed order makes the combined result
-    reproducible regardless of which worker finished first).
+    reproducible regardless of which worker finished first).  ``marks`` holds
+    the log-totals recorded at listed positions, one array per block, in fold
+    order: state, not a setting, so it takes no constructor argument and
+    ``==`` leaves it out.
     """
 
     count: int = 0
     max_log: float = -math.inf
     shifted_sum: float = 0.0
     shifted_sum_sq: float = 0.0
+    marks: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def log_total(self) -> float:
         """log of the sum of the weights absorbed so far; -inf while every weight is zero."""
         return self.max_log + math.log(self.shifted_sum) if self.shifted_sum > 0.0 else -math.inf
 
-    def update_many(self, log_weights: np.ndarray, at=()) -> np.ndarray:
-        """Absorb a block of log-weights in one vectorized fold; return
-        :attr:`log_total` as it stood after each block position in ``at``
-        (0-based, ascending).
+    def update_many(self, log_weights: np.ndarray, at=()) -> None:
+        """Absorb a block of log-weights in one vectorized fold; append to
+        :attr:`marks` the :attr:`log_total` as it stood after each block
+        position in ``at`` (0-based, ascending), if any are listed.
 
         The block is reduced against its own maximum first, and the running
         sums at ``at`` come from the same shifted weights; the leading ones
@@ -112,25 +117,30 @@ class StreamingAccumulator:
             raise ValueError("log-weights must not contain NaN or +inf")
         if m == -math.inf:  # an empty block, or one of zero weights
             self.count += lw.size
-            return np.full(at.size, before)
+            if at.size:
+                self.marks.append(np.full(at.size, before))
+            return
         d = np.subtract(lw, m)
         np.exp(d, out=d)  # -inf entries become exact zeros
         self._absorb(lw.size, m, float(d.sum()), float(np.einsum("i,i->", d, d)))
         if not at.size:
-            return np.empty(0)
+            return
         sums = np.cumsum(d, out=d)[at]  # d is spent: its running sums overwrite it
         small = int(np.searchsorted(sums, 1e-290))
         head = np.logaddexp.accumulate(lw[: at[small - 1] + 1])[at[:small]] if small else []
-        return np.logaddexp(before, np.concatenate([head, m + np.log(sums[small:])]))
+        self.marks.append(np.logaddexp(before, np.concatenate([head, m + np.log(sums[small:])])))
 
     def merge(self, other: "StreamingAccumulator") -> "StreamingAccumulator":
         """Return a new accumulator equal to this one plus ``other``.
 
-        Contributions are combined self-first; callers that need
-        reproducible parallel reductions must merge in a fixed order.
-        Associative up to floating-point rounding.
+        Contributions are combined self-first; ``other``'s marks follow this
+        one's, offset by this one's :attr:`log_total`, so they read as running
+        totals of the whole sequence.  Callers that need reproducible parallel
+        reductions must merge in a fixed order.  Associative up to
+        floating-point rounding.
         """
         out = replace(self)
+        out.marks = self.marks + [np.logaddexp(self.log_total, v) for v in other.marks]
         out._absorb(other.count, other.max_log, other.shifted_sum, other.shifted_sum_sq)
         return out
 

@@ -413,22 +413,27 @@ import numpy
 top = lambda names: {name.partition(".")[0] for name in names}
 baseline = top(sys.modules)
 from detmc.cli import main
-code = main(["estimate", "--estimator", "sphere_invdet", "--ensemble", "orthogonal",
-             "--n", "4", "--samples", "64"])
+common = ["--ensemble", "orthogonal", "--n", "4", "--samples", "64"]
+codes = [main(["estimate", "--estimator", "sphere_invdet", *common]),
+         main(["convergence", "--estimator", "inverse_solve_det", *common, "--streams", "2",
+               "--out", sys.argv[1]])]
 # numpy.random's Cython extensions register two in-memory modules when they load
 cython = {name for name in sys.modules if name == "cython_runtime" or name.startswith("_cython_")}
+print(codes)
 print(sorted(top(sys.modules) - baseline - set(sys.stdlib_module_names) - {"detmc"} - cython))
-sys.exit(code)
 """
 
 
-def test_the_runtime_needs_only_numpy():
+def test_the_runtime_needs_only_numpy(tmp_path):
     # against what the interpreter and numpy had already loaded, not an allow-list: site
-    # set-up may load other packages before any of detmc is imported
+    # set-up may load other packages before any of detmc is imported.  The convergence
+    # run folds with a trace, which the estimate does not
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT], env=env,
+    trace = tmp_path / "trace.csv"
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT, str(trace)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0]", "[]"]
+    assert len(trace.read_text().splitlines()) == 65  # a header and one line per sample

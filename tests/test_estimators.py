@@ -724,6 +724,9 @@ class TestStreams:
             ("sphere", 10, 2, ("-0x1.b0142c4586f3ep+2", "0x1.84bbde498fad7p-12",
                                "-0x1.b0142c4586f3ep+2",
                                "b8746db5fa35f24442931153378cf4982eaf28e8")),
+            ("sphere", 10, 4, ("-0x1.bcc5109e0a08cp+2", "0x1.430df8f9b3b67p-13",
+                               "-0x1.bcc5109e0a08cp+2",
+                               "c79dc8cacf33ac3f1cf34bdd1dac2eef7e939bdc")),
             ("sphere", 16, 1, ("-0x1.1b89779bdb694p+4", "0x1.8d81d1e245d55p-27",
                                "-0x1.1b89779bdb694p+4",
                                "f5ccf40c9d42a159d8f3eb88a1f478139ee953ef")),
@@ -778,8 +781,9 @@ class TestStreams:
     @pytest.mark.parametrize(
         "n, num_samples, num_streams, stride",
         [(3, 60, 1, 7), (3, 2 * (_chunk_rows(3) + 1000), 2, 997), (64, 2 * 10_000, 2, 997),
-         (3, 2 * 1001, 2, 7)],
-        ids=["one_chunk", "chunks_and_streams", "byte_sized_chunks", "odd_streams"],
+         (3, 2 * 1001, 2, 7), (10, 3 * 4001, 3, 97)],
+        ids=["one_chunk", "chunks_and_streams", "byte_sized_chunks", "odd_streams",
+             "three_streams"],
     )
     def test_trace_running_means_match_recomputation(self, n, num_samples, num_streams, stride):
         m = generate(EnsembleSpec("gaussian_iid", n=n, seed=6))

@@ -1,6 +1,5 @@
 """Accumulator tests: log-domain means, standard errors, merging."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -203,6 +202,11 @@ def mp_log_sum(log_weights):
         return float(mp.log(mp.fsum(mp.exp(mp.mpf(float(w))) for w in log_weights)))
 
 
+def fold(acc):
+    """The four fold fields, the accumulator without its marks."""
+    return acc.count, acc.max_log, acc.shifted_sum, acc.shifted_sum_sq
+
+
 # 1,300 nats from the first weights to the largest: the leading running sums
 # underflow against the block maximum and are rescanned
 WIDE = np.concatenate([np.random.default_rng(7).uniform(-1000.0, -700.0, 40),
@@ -218,15 +222,36 @@ WIDE = np.concatenate([np.random.default_rng(7).uniform(-1000.0, -700.0, 40),
 )
 def test_update_many_running_totals_match_oracle(before, block, at):
     acc, plain = filled(before), filled(before)
-    got = acc.update_many(block, at=at)
+    assert acc.update_many(block, at=at) is None
     plain.update_many(block)
     lw = before + block.tolist()
     want = [mp_log_sum(lw[: len(before) + i + 1]) for i in at]
-    assert got.shape == (len(at),)
+    # one array per block that lists positions, none for a block that lists none
+    assert len(acc.marks) == bool(at) and not plain.marks
+    got = np.concatenate(acc.marks) if acc.marks else np.empty(0)
     assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert acc.log_total == pytest.approx(mp_log_sum(lw), rel=1e-12, abs=1e-12)
     # listing positions leaves the fold bit for bit as it is without them
-    assert dataclasses.astuple(acc) == dataclasses.astuple(plain)
+    assert fold(acc) == fold(plain)
+
+
+def test_merge_composes_marks_in_stream_order():
+    pieces, at = np.split(WIDE, [30, 130]), [[0, 29], [0, 9, 99], [0, 50, 109]]
+    merged = StreamingAccumulator()
+    for part, positions in zip(pieces, at):
+        acc = StreamingAccumulator()
+        acc.update_many(part, at=positions)
+        merged = merged.merge(acc)
+    starts = np.cumsum([0] + [len(part) for part in pieces])
+    want = [mp_log_sum(WIDE[: start + i + 1]) for start, positions in zip(starts, at)
+            for i in positions]
+    got = np.concatenate(merged.marks)
+    assert got.tolist() == pytest.approx(want, rel=1e-12)
+    assert merged.count == WIDE.size
+    assert merged.log_total == pytest.approx(mp_log_sum(WIDE), rel=1e-12)
+    # an empty accumulator on either side leaves the marks as they are, bit for bit
+    for side in (merged.merge(StreamingAccumulator()), StreamingAccumulator().merge(merged)):
+        assert np.concatenate(side.marks).tobytes() == got.tobytes()
 
 
 def test_update_many_needs_a_1d_block():
