@@ -29,7 +29,6 @@ from .linalg import (
     load_matrix,
     log_abs_det,
     lu_factorize,
-    save_matrix,
 )
 from .sampling import RngStream
 from .stats import StreamingAccumulator
@@ -58,5 +57,4 @@ __all__ = [
     "log_abs_det",
     "lu_factorize",
     "operator_from_matrix",
-    "save_matrix",
 ]

@@ -108,41 +108,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_args(args) -> None:
-    """Usage errors argparse cannot word, raised before any file is read."""
+def _inputs(args) -> tuple[EstimatorConfig, EnsembleSpec | None]:
+    """The run's config and ensemble spec (``None`` for ``--matrix``), built before
+    any file is read, so every usage error comes first."""
+    for flag in ("n", "scale", "cond", "diag"):
+        if args.matrix is not None and getattr(args, flag) is not None:
+            raise _UsageError(f"--{flag} is an --ensemble flag; it does not apply to --matrix")
+    stride = default_trace_stride(args.samples) if args.command == "convergence" else 0
+    try:
+        config = EstimatorConfig(args.samples, args.seed, args.streams, stride)
+    except ValueError as exc:
+        raise _UsageError(exc)
     if args.matrix is not None:
-        for flag in ("n", "scale", "cond", "diag"):
-            if getattr(args, flag) is not None:
-                raise _UsageError(f"--{flag} is an --ensemble flag; it does not apply to --matrix")
-    if args.samples % args.streams != 0:
-        raise _UsageError("--samples must be divisible by --streams")
-
-
-def _resolve_ensemble(args) -> EnsembleSpec:
-    n = args.n
-    if n is None and args.diag is not None:
-        n = len(args.diag)
+        return config, None
+    n = len(args.diag) if args.n is None and args.diag is not None else args.n
     if n is None:
         raise _UsageError("--ensemble requires --n (or --diag for the diagonal kind)")
-    return EnsembleSpec(
+    return config, EnsembleSpec(
         kind=args.ensemble, n=n, seed=args.seed, scale=args.scale, diag=args.diag, cond=args.cond
     )
 
 
-def _run(args, trace_stride: int):
-    """Build or load the matrix, factorise it once for both the oracle and
-    ``inverse_solve_det``, and run the estimator: (matrix, oracle, result)."""
-    if args.matrix is not None:
-        matrix = load_matrix(args.matrix)
-    else:
-        matrix = generate(_resolve_ensemble(args))
-    f = lu_factorize(matrix)
-    config = EstimatorConfig(args.samples, args.seed, args.streams, trace_stride)
-    return matrix, log_abs_det(f), ESTIMATORS[args.estimator][2](matrix, f, config)
-
-
-def _estimate(args) -> int:
-    matrix, oracle, result = _run(args, 0)
+def _print_estimate(args, matrix, oracle: float, result) -> None:
     target, sign, _ = ESTIMATORS[args.estimator]
     lines = [
         f"estimator: {args.estimator}",
@@ -158,18 +145,15 @@ def _estimate(args) -> int:
         f"low_count: {'true' if result.low_count else 'false'}",
     ]
     print("\n".join(lines))
-    return EXIT_OK
 
 
-def _convergence(args) -> int:
-    _, oracle, result = _run(args, default_trace_stride(args.samples))
+def _write_convergence(args, matrix, oracle: float, result) -> None:
     oracle_txt = _float17(oracle)
     rows = ["sample_index,running_log_estimate,running_estimate,oracle_log_abs_det"]
     for index, running_log in result.trace:
         rows.append(f"{index},{_float17(running_log)},{_exp17(running_log)},{oracle_txt}")
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -178,10 +162,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help or flag error
         return int(exc.code or 0)
     try:
-        _check_args(args)
-        if args.command == "estimate":
-            return _estimate(args)
-        return _convergence(args)
+        config, spec = _inputs(args)
+        matrix = load_matrix(args.matrix) if spec is None else generate(spec)
+        f = lu_factorize(matrix)  # once, for both the oracle and inverse_solve_det
+        result = ESTIMATORS[args.estimator][2](matrix, f, config)
+        output = _print_estimate if args.command == "estimate" else _write_convergence
+        output(args, matrix, log_abs_det(f), result)
+        return EXIT_OK
     except (_UsageError, InvalidEnsembleError) as exc:
         print(f"detmc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -187,7 +187,8 @@ class DistributionPair:
 
             def log_pdf(x: np.ndarray) -> np.ndarray:
                 x = np.asarray(x, dtype=np.float64)
-                return -log_norm - np.sum(x * x, axis=-1) / (2.0 * v)
+                with np.errstate(over="ignore"):  # a square past float64 has log-density -inf
+                    return -log_norm - np.sum(x * x, axis=-1) / (2.0 * v)
 
             return log_pdf
 

@@ -28,7 +28,6 @@ __all__ = [
     "lu_solve_many",
     "log_abs_det",
     "load_matrix",
-    "save_matrix",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -151,10 +150,3 @@ def load_matrix(path) -> DenseMatrix:
         raise MatrixFormatError(f"{path}: matrix entries must be finite")
     return DenseMatrix(entries.reshape(n, n))
 
-
-def save_matrix(path, m: DenseMatrix) -> None:
-    """Write the plain-text format; 17 significant digits round-trip float64."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{m.n}\n")
-        for row in m.data:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

@@ -13,7 +13,6 @@ import detmc.cli
 import detmc.estimators
 from detmc import EnsembleSpec, EstimatorConfig, generate, inv_det_sphere, operator_from_matrix
 from detmc.cli import main
-from detmc.linalg import DenseMatrix, save_matrix
 
 
 def run_cli(*argv):
@@ -113,9 +112,8 @@ class TestEstimate:
         assert math.isfinite(float(s["rel_std_error"]))
         assert float(s["rel_std_error"]) == r.rel_std_error
 
-    def test_matrix_file_source(self, tmp_path, capsys):
-        path = tmp_path / "m.txt"
-        save_matrix(path, DenseMatrix(np.diag([2.0, 4.0])))
+    def test_matrix_file_source(self, tmp_path, capsys, write_matrix):
+        path = write_matrix(tmp_path / "m.txt", np.diag([2.0, 4.0]))
         code = run_cli(
             "estimate", "--estimator", "sphere_invdet", "--matrix", str(path),
             "--samples", "100", "--seed", "0",
@@ -264,9 +262,8 @@ class TestExitCodes:
             "--samples", "10",
         ) == 3
 
-    def test_both_sources_is_usage_error(self, tmp_path):
-        path = tmp_path / "m.txt"
-        save_matrix(path, DenseMatrix(np.eye(2)))
+    def test_both_sources_is_usage_error(self, tmp_path, write_matrix):
+        path = write_matrix(tmp_path / "m.txt", np.eye(2))
         assert run_cli(
             "estimate", "--estimator", "sphere_invdet", "--matrix", str(path),
             "--ensemble", "orthogonal", "--n", "2", "--samples", "10",
@@ -356,6 +353,9 @@ class TestExitCodes:
             ("estimate", ["--samples", "0"], "--samples"),
             ("estimate", ["--streams", "0"], "--streams"),
             ("estimate", ["--streams", "-1"], "--streams"),
+            ("estimate", ["--samples", "10", "--streams", "3"], "divisible"),
+            ("convergence", ["--samples", "10", "--streams", "3"], "divisible"),
+            ("convergence", ["--samples", "0"], "--samples"),
         ],
     )
     def test_bad_count_refused_before_loading_the_matrix(self, command, flags, named, tmp_path,
@@ -382,10 +382,10 @@ class TestExitCodes:
             (["--matrix", "/nonexistent/m.txt", "--diag", "1,2"], "--diag"),
         ],
     )
-    def test_flag_the_matrix_source_does_not_use(self, flags, named, tmp_path, capsys):
+    def test_flag_the_matrix_source_does_not_use(self, flags, named, tmp_path, capsys,
+                                                write_matrix):
         # ignoring the flag would run on a matrix other than the one it describes
-        path = tmp_path / "m.txt"
-        save_matrix(path, DenseMatrix(np.diag([2.0, 4.0])))
+        path = write_matrix(tmp_path / "m.txt", np.diag([2.0, 4.0]))
         flags = [str(path) if f == "MATRIX" else f for f in flags]
         assert run_cli("estimate", "--estimator", "sphere_invdet", "--samples", "10", *flags) == 64
         assert named in capsys.readouterr().err
@@ -416,7 +416,9 @@ from detmc.cli import main
 common = ["--ensemble", "orthogonal", "--n", "4", "--samples", "64"]
 codes = [main(["estimate", "--estimator", "sphere_invdet", *common]),
          main(["convergence", "--estimator", "inverse_solve_det", *common, "--streams", "2",
-               "--out", sys.argv[1]])]
+               "--out", sys.argv[1]]),
+         main(["estimate", "--estimator", "sphere_invdet", "--matrix", "missing.txt",
+               "--samples", "10", "--streams", "3"])]
 # numpy.random's Cython extensions register two in-memory modules when they load
 cython = {name for name in sys.modules if name == "cython_runtime" or name.startswith("_cython_")}
 print(codes)
@@ -427,7 +429,8 @@ print(sorted(top(sys.modules) - baseline - set(sys.stdlib_module_names) - {"detm
 def test_the_runtime_needs_only_numpy(tmp_path):
     # against what the interpreter and numpy had already loaded, not an allow-list: site
     # set-up may load other packages before any of detmc is imported.  The convergence
-    # run folds with a trace, which the estimate does not
+    # run folds with a trace, which the estimate does not; the last call's indivisible
+    # budget is refused (64) before its missing file is read (2)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -435,5 +438,5 @@ def test_the_runtime_needs_only_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT, str(trace)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[0, 0]", "[]"]
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 64]", "[]"]
     assert len(trace.read_text().splitlines()) == 65  # a header and one line per sample

@@ -557,6 +557,15 @@ class TestImportanceEstimator:
         r = inv_det_importance(op, dist, EstimatorConfig(10, seed=0))
         assert r.log_mean == -math.inf
 
+    def test_image_norms_past_float64_give_zero_weights_without_warning(self):
+        # each ||A x||^2 near 1e401 overflows, so log p(A x) is -inf: every weight is
+        # exactly zero, and the suite turns an overflow warning into a failure
+        op = operator_from_matrix(DenseMatrix(1e200 * np.eye(10)))
+        r = inv_det_importance(op, DistributionPair.gaussian_q(10, 2.0),
+                               EstimatorConfig(6000, num_streams=2))
+        assert r.log_mean == -math.inf
+        assert r.low_count
+
 
 class TestInvariants:
     def test_exact_scale_equivariance(self):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from detmc.cli import main
-from detmc.linalg import DenseMatrix, save_matrix
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,9 +28,9 @@ def test_the_cli_section_has_commands():
 
 
 @pytest.mark.parametrize("argv", cli_commands(), ids=lambda argv: " ".join(argv[1:4]))
-def test_readme_command_exits_zero(argv, tmp_path, monkeypatch, capsys):
+def test_readme_command_exits_zero(argv, tmp_path, monkeypatch, capsys, write_matrix):
     monkeypatch.chdir(tmp_path)
-    save_matrix(tmp_path / "my_matrix.txt", DenseMatrix(np.diag([2.0, -1.0, 0.5])))
+    write_matrix(tmp_path / "my_matrix.txt", np.diag([2.0, -1.0, 0.5]))
     assert main(argv[1:]) == 0, capsys.readouterr().err
 
 
