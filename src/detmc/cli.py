@@ -1,5 +1,6 @@
-"""Command-line front end: ``estimate`` prints one estimate, ``convergence``
-writes its running-estimate trace as CSV.
+"""Command-line front end: ``detmc --estimator E (--matrix F | --ensemble K ...)``
+prints one estimate; with ``--trace PATH`` it first writes the running-estimate
+trace to PATH as CSV.
 
 Exit codes: 0 success, 2 I/O or file-format problem, 3 singular matrix,
 64 usage error.
@@ -11,7 +12,7 @@ import argparse
 import math
 import sys
 
-from .ensembles import KINDS, EnsembleSpec, InvalidEnsembleError, generate
+from .ensembles import KINDS, EnsembleSpec, generate
 from .estimators import (
     EstimatorConfig,
     default_trace_stride,
@@ -45,10 +46,6 @@ ESTIMATORS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; the contract here is 64."""
 
@@ -63,7 +60,9 @@ def _float17(x: float) -> str:
 
 def _exp17(log_x: float) -> str:
     x = _exp_or_inf(log_x)
-    return "overflow" if x == math.inf else _float17(x)
+    if x == math.inf:
+        return "overflow"
+    return "underflow" if x == 0.0 and log_x != -math.inf else _float17(x)
 
 
 def _count_flag(lowest: int):
@@ -81,7 +80,8 @@ def _floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"must be comma-separated floats, got {text!r}")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _build_parser() -> _Parser:
+    p = _Parser(prog="detmc", description=__doc__)
     p.add_argument("--estimator", required=True, choices=ESTIMATORS)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--matrix", help="path to a plain-text matrix file")
@@ -93,40 +93,30 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_count_flag(1), default=1000)
     p.add_argument("--seed", type=_count_flag(0), default=0)
     p.add_argument("--streams", type=_count_flag(1), default=1)
+    p.add_argument("--trace", metavar="PATH", help="also write the running-estimate CSV here")
+    return p
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="detmc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_est = sub.add_parser("estimate", help="run one estimator, print a summary")
-    _add_run_flags(p_est)
-
-    p_conv = sub.add_parser("convergence", help="write a running-estimate CSV trace")
-    _add_run_flags(p_conv)
-    p_conv.add_argument("--out", required=True, help="CSV output path")
-    return parser
-
-
-def _inputs(args) -> tuple[EstimatorConfig, EnsembleSpec | None]:
+def _inputs(parser: _Parser, args) -> tuple[EstimatorConfig, EnsembleSpec | None]:
     """The run's config and ensemble spec (``None`` for ``--matrix``), built before
-    any file is read, so every usage error comes first."""
+    any file is read; every usage error exits through ``parser.error``."""
     for flag in ("n", "scale", "cond", "diag"):
         if args.matrix is not None and getattr(args, flag) is not None:
-            raise _UsageError(f"--{flag} is an --ensemble flag; it does not apply to --matrix")
-    stride = default_trace_stride(args.samples) if args.command == "convergence" else 0
+            parser.error(f"--{flag} is an --ensemble flag; it does not apply to --matrix")
+    stride = default_trace_stride(args.samples) if args.trace is not None else 0
     try:
         config = EstimatorConfig(args.samples, args.seed, args.streams, stride)
-    except ValueError as exc:
-        raise _UsageError(exc)
-    if args.matrix is not None:
-        return config, None
-    n = len(args.diag) if args.n is None and args.diag is not None else args.n
-    if n is None:
-        raise _UsageError("--ensemble requires --n (or --diag for the diagonal kind)")
-    return config, EnsembleSpec(
-        kind=args.ensemble, n=n, seed=args.seed, scale=args.scale, diag=args.diag, cond=args.cond
-    )
+        if args.matrix is not None:
+            return config, None
+        n = len(args.diag) if args.n is None and args.diag is not None else args.n
+        if n is None:
+            parser.error("--ensemble requires --n (or --diag for the diagonal kind)")
+        return config, EnsembleSpec(
+            kind=args.ensemble, n=n, seed=args.seed, scale=args.scale, diag=args.diag,
+            cond=args.cond,
+        )
+    except ValueError as exc:  # EstimatorConfig's or EnsembleSpec's refusal
+        parser.error(str(exc))
 
 
 def _print_estimate(args, matrix, oracle: float, result) -> None:
@@ -147,31 +137,31 @@ def _print_estimate(args, matrix, oracle: float, result) -> None:
     print("\n".join(lines))
 
 
-def _write_convergence(args, matrix, oracle: float, result) -> None:
+def _write_trace(path: str, oracle: float, result) -> None:
     oracle_txt = _float17(oracle)
     rows = ["sample_index,running_log_estimate,running_estimate,oracle_log_abs_det"]
     for index, running_log in result.trace:
         rows.append(f"{index},{_float17(running_log)},{_exp17(running_log)},{oracle_txt}")
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
 
 
 def main(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse --help or flag error
+        args = parser.parse_args(argv)
+        config, spec = _inputs(parser, args)
+    except SystemExit as exc:  # --help or a usage error
         return int(exc.code or 0)
     try:
-        config, spec = _inputs(args)
         matrix = load_matrix(args.matrix) if spec is None else generate(spec)
         f = lu_factorize(matrix)  # once, for both the oracle and inverse_solve_det
         result = ESTIMATORS[args.estimator][2](matrix, f, config)
-        output = _print_estimate if args.command == "estimate" else _write_convergence
-        output(args, matrix, log_abs_det(f), result)
+        oracle = log_abs_det(f)
+        if args.trace is not None:  # first, so an unwritable path prints no summary
+            _write_trace(args.trace, oracle, result)
+        _print_estimate(args, matrix, oracle, result)
         return EXIT_OK
-    except (_UsageError, InvalidEnsembleError) as exc:
-        print(f"detmc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (MatrixFormatError, OSError) as exc:
         print(f"detmc: error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -69,7 +69,7 @@ class EnsembleSpec:
                 raise InvalidEnsembleError("diagonal entries must be finite and nonzero")
         if self.kind == "ill_conditioned":
             if self.cond is None or self.cond < 1.0 or not math.isfinite(self.cond):
-                raise InvalidEnsembleError("ill_conditioned needs cond >= 1")
+                raise InvalidEnsembleError("ill_conditioned needs a finite cond >= 1")
             if self.n == 1 and self.cond != 1.0:
                 raise InvalidEnsembleError("a 1x1 matrix cannot have cond > 1")
 

@@ -43,11 +43,11 @@ def test_criterion_1_convergence_reproduction(tmp_path):
         band = 3.0 * r.rel_std_error  # delta-method SE of the log estimate
         if abs(final_log - oracle_log_det(m)) <= band:
             hits += 1
-    # one seed exercises the actual CLI convergence pipeline end to end
+    # one seed exercises the actual CLI trace pipeline end to end
     out = tmp_path / "fig.csv"
     code = cli_main([
-        "convergence", "--estimator", "inverse_solve_det", "--ensemble", "gaussian_iid",
-        "--n", "10", "--samples", "100000", "--seed", "3", "--out", str(out),
+        "--estimator", "inverse_solve_det", "--ensemble", "gaussian_iid",
+        "--n", "10", "--samples", "100000", "--seed", "3", "--trace", str(out),
     ])
     last = out.read_text().splitlines()[-1].split(",")
     r3 = det_via_inverse_solves(
@@ -154,12 +154,12 @@ def test_criterion_7_sampler_correctness():
 
 def test_criterion_8_determinism_and_streams(tmp_path):
     argv = [
-        "convergence", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+        "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
         "--n", "6", "--samples", "20000", "--seed", "11", "--streams", "4",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli_main(argv + ["--out", str(a)]) == 0
-    assert cli_main(argv + ["--out", str(b)]) == 0
+    assert cli_main(argv + ["--trace", str(a)]) == 0
+    assert cli_main(argv + ["--trace", str(b)]) == 0
     identical = a.read_bytes() == b.read_bytes()
 
     m = generate(EnsembleSpec("ill_conditioned", n=6, seed=11, cond=1.5))

@@ -37,7 +37,7 @@ def parse_csv(path):
 class TestEstimate:
     def test_scaled_identity_sphere(self, capsys):
         code = run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--ensemble", "scaled_identity",
+            "--estimator", "sphere_invdet", "--ensemble", "scaled_identity",
             "--scale", "2", "--n", "3", "--samples", "100", "--seed", "1",
         )
         assert code == 0
@@ -53,7 +53,7 @@ class TestEstimate:
         # up to min(n, 8) directions are one frame, and fold a single weight:
         # its std_error of 0 says nothing about the spread, so the flag is printed
         code = run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
             "--n", str(n), "--samples", str(samples), "--seed", "1",
         )
         assert code == 0
@@ -63,7 +63,7 @@ class TestEstimate:
 
     def test_orthogonal_inverse_solve(self, capsys):
         code = run_cli(
-            "estimate", "--estimator", "inverse_solve_det", "--ensemble", "orthogonal",
+            "--estimator", "inverse_solve_det", "--ensemble", "orthogonal",
             "--n", "10", "--samples", "100", "--seed", "7",
         )
         assert code == 0
@@ -72,7 +72,7 @@ class TestEstimate:
 
     def test_gaussian_iid_within_delta_method_band(self, capsys):
         code = run_cli(
-            "estimate", "--estimator", "inverse_solve_det", "--ensemble", "gaussian_iid",
+            "--estimator", "inverse_solve_det", "--ensemble", "gaussian_iid",
             "--n", "10", "--samples", "100000", "--seed", "3",
         )
         assert code == 0
@@ -82,7 +82,7 @@ class TestEstimate:
 
     def test_estimate_exp_consistency(self, capsys):
         code = run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
             "--n", "4", "--samples", "1000", "--seed", "9",
         )
         assert code == 0
@@ -91,7 +91,7 @@ class TestEstimate:
 
     def test_overflow_token(self, capsys):
         code = run_cli(
-            "estimate", "--estimator", "inverse_solve_det", "--ensemble", "scaled_identity",
+            "--estimator", "inverse_solve_det", "--ensemble", "scaled_identity",
             "--scale", "10", "--n", "400", "--samples", "4", "--seed", "0",
         )
         assert code == 0
@@ -99,10 +99,26 @@ class TestEstimate:
         assert s["estimate"] == "overflow"
         assert float(s["log_estimate"]) == pytest.approx(400 * math.log(10.0), rel=1e-9)
 
+    def test_underflow_token(self, tmp_path, capsys):
+        # |det A| = e^-921 is a finite log whose exponential is below the least subnormal
+        trace = tmp_path / "t.csv"
+        code = run_cli(
+            "--estimator", "inverse_solve_det", "--ensemble", "scaled_identity",
+            "--scale", "1e-200", "--n", "2", "--samples", "10", "--trace", str(trace),
+        )
+        assert code == 0
+        s = parse_summary(capsys.readouterr().out)
+        assert s["estimate"] == "underflow"
+        assert float(s["log_estimate"]) == pytest.approx(2 * math.log(1e-200), rel=1e-12)
+        _, rows = parse_csv(trace)
+        assert [row[2] for row in rows] == ["underflow"] * 10
+        # a log of -inf, every weight zero, is an exact 0
+        assert detmc.cli._exp17(-math.inf) == "0"
+
     def test_overflowed_std_error_keeps_a_finite_rel_std_error(self, capsys):
         argv = ["--estimator", "sphere_invdet", "--ensemble", "ill_conditioned", "--n", "400",
                 "--cond", "1e6", "--samples", "64", "--seed", "0"]
-        assert run_cli("estimate", *argv) == 0
+        assert run_cli(*argv) == 0
         s = parse_summary(capsys.readouterr().out)
         assert s["std_error"] == "inf"
         # not pinned: n = 400 products change bits with the BLAS thread count, so
@@ -115,7 +131,7 @@ class TestEstimate:
     def test_matrix_file_source(self, tmp_path, capsys, write_matrix):
         path = write_matrix(tmp_path / "m.txt", np.diag([2.0, 4.0]))
         code = run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--matrix", str(path),
+            "--estimator", "sphere_invdet", "--matrix", str(path),
             "--samples", "100", "--seed", "0",
         )
         assert code == 0
@@ -125,15 +141,15 @@ class TestEstimate:
 
     def test_diag_flag_infers_dimension(self, capsys):
         code = run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--ensemble", "diagonal",
+            "--estimator", "sphere_invdet", "--ensemble", "diagonal",
             "--diag", "2,-1.5,4", "--samples", "100", "--seed", "0",
         )
         assert code == 0
         assert parse_summary(capsys.readouterr().out)["n"] == "3"
 
 
-    @pytest.mark.parametrize("command", ["estimate", "convergence"])
-    def test_inverse_solve_factorizes_once(self, command, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_inverse_solve_factorizes_once(self, traced, tmp_path, monkeypatch):
         calls = []
 
         def counted(m, real=detmc.cli.lu_factorize):
@@ -142,10 +158,10 @@ class TestEstimate:
 
         monkeypatch.setattr(detmc.cli, "lu_factorize", counted)
         monkeypatch.setattr(detmc.estimators, "lu_factorize", counted)
-        out = ["--out", str(tmp_path / "t.csv")] if command == "convergence" else []
+        trace = ["--trace", str(tmp_path / "t.csv")] if traced else []
         assert run_cli(
-            command, "--estimator", "inverse_solve_det", "--ensemble", "gaussian_iid",
-            "--n", "5", "--samples", "100", *out,
+            "--estimator", "inverse_solve_det", "--ensemble", "gaussian_iid",
+            "--n", "5", "--samples", "100", *trace,
         ) == 0
         assert len(calls) == 1
 
@@ -154,8 +170,8 @@ class TestConvergence:
     def test_scaled_identity_flat_line(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run_cli(
-            "convergence", "--estimator", "sphere_invdet", "--ensemble", "scaled_identity",
-            "--scale", "2", "--n", "3", "--samples", "500", "--seed", "1", "--out", str(out),
+            "--estimator", "sphere_invdet", "--ensemble", "scaled_identity",
+            "--scale", "2", "--n", "3", "--samples", "500", "--seed", "1", "--trace", str(out),
         )
         assert code == 0
         header, rows = parse_csv(out)
@@ -170,8 +186,8 @@ class TestConvergence:
     def test_gaussian_trace_reaches_oracle(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run_cli(
-            "convergence", "--estimator", "inverse_solve_det", "--ensemble", "gaussian_iid",
-            "--n", "10", "--samples", "100000", "--seed", "3", "--out", str(out),
+            "--estimator", "inverse_solve_det", "--ensemble", "gaussian_iid",
+            "--n", "10", "--samples", "100000", "--seed", "3", "--trace", str(out),
         )
         assert code == 0
         _, rows = parse_csv(out)
@@ -192,38 +208,51 @@ class TestConvergence:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         argv = [
-            "convergence", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
             "--n", "6", "--samples", "2000", "--seed", "5",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli(*argv, "--out", str(a)) == 0
-        assert run_cli(*argv, "--out", str(b)) == 0
+        assert run_cli(*argv, "--trace", str(a)) == 0
+        assert run_cli(*argv, "--trace", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_multistream_rerun_is_byte_identical(self, tmp_path):
         argv = [
-            "convergence", "--estimator", "sphere_invdet", "--ensemble",
+            "--estimator", "sphere_invdet", "--ensemble",
             "gaussian_iid", "--n", "4", "--samples", "4000", "--seed", "2",
             "--streams", "4",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli(*argv, "--out", str(a)) == 0
-        assert run_cli(*argv, "--out", str(b)) == 0
+        assert run_cli(*argv, "--trace", str(a)) == 0
+        assert run_cli(*argv, "--trace", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unwritable_output_is_io_error(self, tmp_path):
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         code = run_cli(
-            "convergence", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
             "--n", "3", "--samples", "10", "--seed", "0",
-            "--out", str(tmp_path / "no" / "such" / "dir.csv"),
+            "--trace", str(tmp_path / "no" / "such" / "dir.csv"),
         )
         assert code == 2
+        assert capsys.readouterr().out == ""  # the trace is written before the summary
+
+    @pytest.mark.parametrize("argv", [
+        ["--estimator", "inverse_solve_det", "--ensemble", "gaussian_iid", "--n", "10",
+         "--samples", "20000", "--seed", "3", "--streams", "2"],
+        ["--estimator", "sphere_invdet", "--ensemble", "ill_conditioned", "--n", "6",
+         "--cond", "3", "--samples", "3000", "--seed", "4", "--streams", "3"],
+    ])
+    def test_traced_run_prints_the_untraced_summary(self, argv, tmp_path, capsys):
+        assert run_cli(*argv) == 0
+        untraced = capsys.readouterr().out
+        assert run_cli(*argv, "--trace", str(tmp_path / "t.csv")) == 0
+        assert capsys.readouterr().out == untraced
 
 
 class TestExitCodes:
     def test_missing_matrix_file(self):
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--matrix", "/nonexistent/m.txt",
+            "--estimator", "sphere_invdet", "--matrix", "/nonexistent/m.txt",
             "--samples", "10",
         ) == 2
 
@@ -231,7 +260,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.txt"
         bad.write_text("3\n1 2\n")
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--matrix", str(bad),
+            "--estimator", "sphere_invdet", "--matrix", str(bad),
             "--samples", "10",
         ) == 2
 
@@ -239,7 +268,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.txt"
         bad.write_bytes("2\n1 \u22122\n3 4\n".encode())
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--matrix", str(bad),
+            "--estimator", "sphere_invdet", "--matrix", str(bad),
             "--samples", "10",
         ) == 2
 
@@ -247,7 +276,7 @@ class TestExitCodes:
         singular = tmp_path / "s.txt"
         singular.write_text("2\n1 2\n2 4\n")
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--matrix", str(singular),
+            "--estimator", "sphere_invdet", "--matrix", str(singular),
             "--samples", "10",
         ) == 3
 
@@ -258,48 +287,57 @@ class TestExitCodes:
         singular = tmp_path / "rank4.txt"
         singular.write_text("5\n" + "\n".join(rows) + "\n")
         assert run_cli(
-            "estimate", "--estimator", "inverse_solve_det", "--matrix", str(singular),
+            "--estimator", "inverse_solve_det", "--matrix", str(singular),
             "--samples", "10",
         ) == 3
 
     def test_both_sources_is_usage_error(self, tmp_path, write_matrix):
         path = write_matrix(tmp_path / "m.txt", np.eye(2))
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--matrix", str(path),
+            "--estimator", "sphere_invdet", "--matrix", str(path),
             "--ensemble", "orthogonal", "--n", "2", "--samples", "10",
         ) == 64
 
     def test_no_source_is_usage_error(self):
-        assert run_cli("estimate", "--estimator", "sphere_invdet", "--samples", "10") == 64
+        assert run_cli("--estimator", "sphere_invdet", "--samples", "10") == 64
 
     def test_indivisible_streams_usage_error(self):
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
             "--n", "3", "--samples", "10", "--streams", "3",
         ) == 64
 
     def test_unknown_estimator_usage_error(self, capsys):
         for name in ("nonsense", "gaussian_ratio_invdet", "importance_invdet"):  # removed
             assert run_cli(
-                "estimate", "--estimator", name, "--ensemble", "gaussian_iid",
+                "--estimator", name, "--ensemble", "gaussian_iid",
                 "--n", "3", "--samples", "10",
             ) == 64
         capsys.readouterr()
 
-    def test_removed_validate_subcommand_usage_error(self, capsys):
-        assert run_cli("validate") == 64
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_missing_out_usage_error(self, capsys):
+    @pytest.mark.parametrize("old", [["validate"], ["estimate"], ["convergence", "--out", "P"]])
+    def test_removed_subcommands_usage_error(self, old, tmp_path, monkeypatch, capsys):
+        # one command per run: the old subcommand words and --out are refused, not run
+        monkeypatch.chdir(tmp_path)
         assert run_cli(
-            "convergence", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
-            "--n", "3", "--samples", "10",
+            old[0], "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--n", "3", "--samples", "10", *old[1:],
         ) == 64
-        capsys.readouterr()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(old)}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_without_a_path_usage_error(self, capsys):
+        assert run_cli(
+            "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--n", "3", "--samples", "10", "--trace",
+        ) == 64
+        assert "--trace" in capsys.readouterr().err
 
     def test_diag_dimension_mismatch_usage_error(self):
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--ensemble", "diagonal",
+            "--estimator", "sphere_invdet", "--ensemble", "diagonal",
             "--diag", "1,2,3", "--n", "2", "--samples", "10",
         ) == 64
 
@@ -307,7 +345,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n1 x\n0 1\n")
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--matrix", str(bad),
+            "--estimator", "sphere_invdet", "--matrix", str(bad),
             "--samples", "10",
         ) == 2
         assert "could not convert string to float: 'x'" in capsys.readouterr().err
@@ -320,12 +358,12 @@ class TestExitCodes:
         ],
     )
     def test_ensemble_flag_usage_error(self, flags, named, capsys):
-        assert run_cli("estimate", "--estimator", "sphere_invdet", "--samples", "10", *flags) == 64
+        assert run_cli("--estimator", "sphere_invdet", "--samples", "10", *flags) == 64
         assert named in capsys.readouterr().err
 
     def test_negative_seed_usage_error(self, capsys):
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
             "--n", "3", "--samples", "10", "--seed", "-1",
         ) == 64
         assert "--seed" in capsys.readouterr().err
@@ -334,7 +372,7 @@ class TestExitCodes:
     def test_bad_q_var_usage_error(self, q_var, capsys):
         # the flag went with importance_invdet: every value, valid before or not, exits 64
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
             "--n", "3", "--samples", "10", "--q-var", q_var,
         ) == 64
         assert "--q-var" in capsys.readouterr().err
@@ -342,31 +380,32 @@ class TestExitCodes:
     def test_usage_checked_before_loading_the_matrix(self, capsys):
         # a missing file would exit 2 if the matrix were read first
         assert run_cli(
-            "estimate", "--estimator", "sphere_invdet", "--matrix", "/nonexistent/m.txt",
+            "--estimator", "sphere_invdet", "--matrix", "/nonexistent/m.txt",
             "--samples", "10", "--seed", "-1",
         ) == 64
         assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, flags, named",
+        "traced, flags, named",
         [
-            ("estimate", ["--samples", "0"], "--samples"),
-            ("estimate", ["--streams", "0"], "--streams"),
-            ("estimate", ["--streams", "-1"], "--streams"),
-            ("estimate", ["--samples", "10", "--streams", "3"], "divisible"),
-            ("convergence", ["--samples", "10", "--streams", "3"], "divisible"),
-            ("convergence", ["--samples", "0"], "--samples"),
+            (False, ["--samples", "0"], "--samples"),
+            (False, ["--streams", "0"], "--streams"),
+            (False, ["--streams", "-1"], "--streams"),
+            (False, ["--samples", "10", "--streams", "3"], "divisible"),
+            (True, ["--samples", "10", "--streams", "3"], "divisible"),
+            (True, ["--samples", "0"], "--samples"),
         ],
     )
-    def test_bad_count_refused_before_loading_the_matrix(self, command, flags, named, tmp_path,
+    def test_bad_count_refused_before_loading_the_matrix(self, traced, flags, named, tmp_path,
                                                          capsys):
         # a missing file would exit 2 if the matrix were read first
-        out = ["--out", str(tmp_path / "t.csv")] if command == "convergence" else []
+        trace = ["--trace", str(tmp_path / "t.csv")] if traced else []
         assert run_cli(
-            command, "--estimator", "sphere_invdet", "--matrix", "/nonexistent/m.txt",
-            *out, *flags,
+            "--estimator", "sphere_invdet", "--matrix", "/nonexistent/m.txt", *trace, *flags,
         ) == 64
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: detmc ")  # the library's refusals too, via parser.error
+        assert named in err
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize(
@@ -387,17 +426,17 @@ class TestExitCodes:
         # ignoring the flag would run on a matrix other than the one it describes
         path = write_matrix(tmp_path / "m.txt", np.diag([2.0, 4.0]))
         flags = [str(path) if f == "MATRIX" else f for f in flags]
-        assert run_cli("estimate", "--estimator", "sphere_invdet", "--samples", "10", *flags) == 64
+        assert run_cli("--estimator", "sphere_invdet", "--samples", "10", *flags) == 64
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["estimate", "convergence"])
-    def test_trace_stride_flag_is_refused(self, command, tmp_path, capsys):
-        # convergence always uses the default stride and estimate prints no trace,
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_trace_stride_flag_is_refused(self, traced, tmp_path, capsys):
+        # --trace always uses the default stride and an untraced run writes no trace,
         # so a stride given on the command line would be silently ignored
+        trace = ["--trace", str(tmp_path / "t.csv")] if traced else []
         assert run_cli(
-            command, "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
-            "--n", "3", "--samples", "10", "--out", str(tmp_path / "t.csv"),
-            "--trace-stride", "1",
+            "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
+            "--n", "3", "--samples", "10", *trace, "--trace-stride", "1",
         ) == 64
         assert "--trace-stride" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
@@ -414,11 +453,13 @@ top = lambda names: {name.partition(".")[0] for name in names}
 baseline = top(sys.modules)
 from detmc.cli import main
 common = ["--ensemble", "orthogonal", "--n", "4", "--samples", "64"]
-codes = [main(["estimate", "--estimator", "sphere_invdet", *common]),
-         main(["convergence", "--estimator", "inverse_solve_det", *common, "--streams", "2",
-               "--out", sys.argv[1]]),
-         main(["estimate", "--estimator", "sphere_invdet", "--matrix", "missing.txt",
-               "--samples", "10", "--streams", "3"])]
+codes = [main(["--estimator", "sphere_invdet", *common]),
+         main(["--estimator", "inverse_solve_det", *common, "--streams", "2",
+               "--trace", sys.argv[1]]),
+         main(["--estimator", "sphere_invdet", "--matrix", "missing.txt",
+               "--samples", "10", "--streams", "3"]),
+         main(["convergence", "--estimator", "inverse_solve_det", *common,
+               "--out", sys.argv[2]])]
 # numpy.random's Cython extensions register two in-memory modules when they load
 cython = {name for name in sys.modules if name == "cython_runtime" or name.startswith("_cython_")}
 print(codes)
@@ -428,15 +469,17 @@ print(sorted(top(sys.modules) - baseline - set(sys.stdlib_module_names) - {"detm
 
 def test_the_runtime_needs_only_numpy(tmp_path):
     # against what the interpreter and numpy had already loaded, not an allow-list: site
-    # set-up may load other packages before any of detmc is imported.  The convergence
-    # run folds with a trace, which the estimate does not; the last call's indivisible
-    # budget is refused (64) before its missing file is read (2)
+    # set-up may load other packages before any of detmc is imported.  The traced run
+    # folds with a trace, which the first does not; the third call's indivisible budget
+    # is refused (64) before its missing file is read (2), and the removed subcommand
+    # is refused (64) without writing its --out file
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    trace = tmp_path / "trace.csv"
-    proc = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT, str(trace)], env=env,
+    trace, old = tmp_path / "trace.csv", tmp_path / "old.csv"
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT, str(trace), str(old)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 64]", "[]"]
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 64, 64]", "[]"]
     assert len(trace.read_text().splitlines()) == 65  # a header and one line per sample
+    assert not old.exists()

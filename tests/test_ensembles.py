@@ -108,8 +108,12 @@ def test_matrix_draws_do_not_consume_estimator_streams():
         dict(kind="gaussian_iid", n=3, seed=False),
         # a negative seed would fail in RngStream with a plain ValueError
         dict(kind="gaussian_iid", n=3, seed=-1),
+        # a cond the check must not let through, with the message the CLI prints
+        dict(kind="ill_conditioned", n=3, cond=math.inf, message="needs a finite cond >= 1"),
+        dict(kind="ill_conditioned", n=3, cond=math.nan, message="needs a finite cond >= 1"),
     ],
 )
 def test_invalid_specs_rejected(kwargs):
-    with pytest.raises(InvalidEnsembleError):
-        EnsembleSpec(**{"seed": 0, **kwargs})
+    spec = {"seed": 0, **kwargs}
+    with pytest.raises(InvalidEnsembleError, match=spec.pop("message", None)):
+        EnsembleSpec(**spec)

@@ -1,5 +1,6 @@
-"""README's CLI section: every ``detmc ...`` command runs and exits 0, and the
-keys it lists are the ones ``detmc estimate`` prints, in order."""
+"""README's CLI section: every ``detmc ...`` command runs and exits 0, a traced one
+prints what it prints untraced, and the keys it lists are the ones ``detmc`` prints,
+in order."""
 
 import pathlib
 import re
@@ -34,9 +35,21 @@ def test_readme_command_exits_zero(argv, tmp_path, monkeypatch, capsys, write_ma
     assert main(argv[1:]) == 0, capsys.readouterr().err
 
 
+def test_readme_trace_leaves_the_summary_unchanged(tmp_path, monkeypatch, capsys):
+    traced = [argv for argv in cli_commands() if "--trace" in argv]
+    assert traced
+    monkeypatch.chdir(tmp_path)
+    for argv in traced:
+        at = argv.index("--trace")
+        assert main(argv[1:at] + argv[at + 2:]) == 0
+        untraced = capsys.readouterr().out
+        assert main(argv[1:]) == 0
+        assert capsys.readouterr().out == untraced
+
+
 def test_readme_lists_the_keys_estimate_prints(capsys):
     listed = cli_section().split("line per key, in this order:", 1)[1].split(". ", 1)[0]
-    assert main(["estimate", "--estimator", "sphere_invdet", "--ensemble", "orthogonal",
+    assert main(["--estimator", "sphere_invdet", "--ensemble", "orthogonal",
                  "--n", "3", "--samples", "6"]) == 0
     printed = [line.partition(": ")[0] for line in capsys.readouterr().out.splitlines()]
     assert re.findall(r"`(\w+)`", listed) == printed
