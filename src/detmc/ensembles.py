@@ -3,7 +3,7 @@
 Every family is a pure function of its :class:`EnsembleSpec`.  Generation
 draws from a dedicated substream (``stream_id = 2**63``) so that reusing one
 seed for both the matrix and the Monte Carlo sampling never reuses random
-draws; estimator workers occupy the low stream ids.
+draws; estimator chunks occupy the low stream ids.
 
 Families:
 

@@ -27,11 +27,10 @@ which is all unbiasedness needs.  P^n = -I, so the w directions are distinct
 up to sign at every n.  The kernel returns the log of the frame's mean
 weight and the driver folds it as one sample, so the standard error is
 computed over independent frames whatever the correlation inside a frame.
-``num_samples`` still counts directions: a stream of d directions draws
+``num_samples`` still counts directions: a call of d directions draws
 ceil(d / w) rows and weighs the whole frame of its last row, up to w - 1
-directions more than d.  The trace point at direction p of a stream is the
-running mean over the frames of the earlier streams and the first
-ceil(p / w) frames of that stream, so the last point is ``log_mean``.  The
+directions more than d.  The trace point at direction p is the running mean
+of the first ceil(p / w) frames, so the last point is ``log_mean``.  The
 buffer a frame is read from is laid out in :func:`sphere_log_weights` and
 README's "Memory layout".
 
@@ -44,12 +43,15 @@ the importance weight can have infinite variance (with ``gaussian_q(n, v)``,
 when 2 v sigma_min^2 <= 1).  Confidence-interval-based checks in this
 package stick to well-conditioned ensembles.
 
-Sampling is partitioned evenly across ``num_streams`` independent substreams
-(stream 0 on the calling thread, one pool thread per further stream up to
-the CPU count) and partial accumulators are merged in stream-id order, so a
-result is a pure function of its config no matter how the threads were
-scheduled.  Operators and distribution callables must be safe to call from
-concurrent threads, or the estimate must run with ``num_streams = 1``.
+Sampling is cut into chunks that depend only on ``num_samples`` and n, and
+chunk c draws from its own substream ``RngStream(seed, c)``.  ``num_streams``
+workers share the chunks (worker 0 on the calling thread, one pool thread
+per further worker up to the CPU count), and the chunks' accumulators are
+merged in chunk order, so a result is a pure function of ``num_samples``,
+``seed`` and ``trace_stride``, the same bits for every ``num_streams`` and
+however the threads were scheduled.  Operators and distribution callables
+must be safe to call from concurrent threads, or the estimate must run with
+``num_streams = 1``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -106,7 +109,7 @@ class MatrixFreeOperator:
     blocks of at most ``min(16384, max(1, 2**18 // n))`` rows and may call
     ``apply_batch`` from several threads at once.  The block is a read-only
     view of a buffer the estimator refills on its next chunk.  In the sphere
-    estimators every block is a column-major window of one per-stream buffer
+    estimators every block is a column-major window of one buffer per worker
     that holds the draw and the negatives of its last w - 1 coordinates, one
     window per direction of the frame of w, and the same window may be
     applied a second time in a chunk, when the kernel recomputes out-of-range
@@ -132,8 +135,10 @@ def operator_from_matrix(m: DenseMatrix) -> MatrixFreeOperator:
 class EstimatorConfig:
     """Sample budget, seeding and trace layout shared by all estimators.
 
-    ``trace_stride = 0`` disables the trace; ``k > 0`` records the running
-    log-domain mean after every k-th sample (plus the final sample).
+    ``num_streams`` is the number of threads that share the work; it does
+    not change the result.  ``trace_stride = 0`` disables the trace; ``k > 0``
+    records the running log-domain mean after every k-th sample (plus the
+    final sample).
     """
 
     num_samples: int
@@ -145,11 +150,6 @@ class EstimatorConfig:
         for name, lowest in (("num_samples", 1), ("seed", 0), ("num_streams", 1),
                              ("trace_stride", 0)):
             _count(name, getattr(self, name), lowest)
-        if self.num_samples % self.num_streams != 0:
-            raise ValueError(
-                f"num_samples ({self.num_samples}) must be divisible by "
-                f"num_streams ({self.num_streams})"
-            )
 
 
 def default_trace_stride(num_samples: int) -> int:
@@ -316,46 +316,50 @@ def _chunk_rows(n: int) -> int:
 
 
 def _run(new_weigh, config: EstimatorConfig, rows: int, width: int = 1) -> EstimateResult:
-    """Fold ``weigh(rng, k)``, k log-weights each the mean over ``width`` samples,
-    until every stream has covered its share of ``config.num_samples``.  Each
-    stream gets its own ``weigh = new_weigh(r)``, r = min(rows, the stream's
-    weights), called with k <= r, so the blocks a ``weigh`` refills belong to
-    one stream of one call."""
+    """Fold ceil(num_samples / width) log-weights, each the mean over ``width``
+    samples, in chunks: chunk c is the c-th block of at most ``rows`` of them,
+    drawn by ``weigh(rng, k)`` from ``RngStream(config.seed, c)`` and folded into
+    an accumulator of its own.  Worker j of S = ``config.num_streams`` folds
+    chunks j, j + S, j + 2S, ... with its own ``weigh = new_weigh(r)``,
+    r = min(rows, the weights), so the blocks a ``weigh`` refills belong to one
+    worker of one call.  The chunk records are merged in chunk order, so the
+    result does not depend on S."""
     total, stride = config.num_samples, config.trace_stride
-    per_stream = total // config.num_streams
-    weights = (per_stream + width - 1) // width  # folded by each stream
+    weights = (total + width - 1) // width
+    rows = min(rows, weights)
+    chunks = (weights + rows - 1) // rows
+    streams = min(config.num_streams, chunks)  # a worker with no chunk would only start a thread
     # the trace plan: 1-based sample indices, every stride-th and the last (the range
-    # stops below the last, so it is listed once), and the weight each closes in its
-    # stream, 1-based.  Stream j holds the points in (j * per_stream, (j + 1) * per_stream]
+    # stops below the last, so it is listed once), and the weight each closes, 1-based
     grid = np.append(np.arange(stride, total, stride), total) if stride else np.empty(0, int)
-    ends = (grid - 1) % per_stream // width + 1
+    ends = (grid - 1) // width + 1
 
-    def run(j: int) -> StreamingAccumulator:
-        """Fold stream j's weights in chunks of at most ``rows``, marking the
-        log-total of its weights up to each of its ``ends``."""
-        weigh = new_weigh(min(rows, weights))  # owned by this stream for this call only
-        rng, acc = RngStream(config.seed, j), StreamingAccumulator()
-        # a view: the plan is two vectors, however many streams read it
-        at = ends[slice(*np.searchsorted(grid, (j * per_stream, (j + 1) * per_stream), "right"))]
-        for done in range(0, weights, rows):
+    def run(j: int) -> list[StreamingAccumulator]:
+        """Fold worker j's chunks, marking the log-total of each chunk's weights
+        up to each of the ``ends`` it holds."""
+        weigh = new_weigh(rows)  # owned by this worker for this call only
+        accs = []
+        for c in range(j, chunks, streams):
+            done = c * rows
             k = min(rows, weights - done)
-            lo, hi = np.searchsorted(at, (done, done + k), side="right")
-            acc.update_many(weigh(rng, k), at=at[lo:hi] - done - 1)
-        return acc
+            lo, hi = np.searchsorted(ends, (done, done + k), side="right")
+            acc = StreamingAccumulator()
+            acc.update_many(weigh(RngStream(config.seed, c), k), at=ends[lo:hi] - done - 1)
+            accs.append(acc)
+        return accs
 
-    # stream 0 on this thread, so a 1-stream call starts no thread; an exception
-    # in any stream is raised once the pool has finished every other stream
-    workers = max(1, min(config.num_streams, os.cpu_count() or 1) - 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, j) for j in range(1, config.num_streams)]
-        merged = run(0)
-        for future in futures:  # in stream-id order: reproducible whatever the scheduling
-            merged = merged.merge(future.result())
-    # the merged marks are the log-totals at the grid points: a point of stream j
-    # averages the weights of the streams before it and the first ``ends`` of stream j
+    # worker 0 on this thread, so a 1-stream call starts no thread; an exception
+    # in any worker is raised once the pool has finished every other worker
+    with ThreadPoolExecutor(max_workers=max(1, min(streams, os.cpu_count() or 1) - 1)) as pool:
+        futures = [pool.submit(run, j) for j in range(1, streams)]
+        folded = [run(0), *(future.result() for future in futures)]
+    # chunk c is entry c // S of worker c % S: merged in chunk order whatever the scheduling
+    merged = reduce(StreamingAccumulator.merge,
+                    (folded[c % streams][c // streams] for c in range(chunks)))
+    # the merged marks are the log-totals at the grid points: a point averages the
+    # first ``ends`` weights
     marks = np.concatenate(merged.marks or [np.empty(0)])  # a call without a trace marks none
-    running = marks - np.log((grid - 1) // per_stream * weights + ends)
-    trace = tuple(zip(grid.tolist(), running.tolist())) if stride else None
+    trace = tuple(zip(grid.tolist(), (marks - np.log(ends)).tolist())) if stride else None
     return replace(merged.summarize(), n_samples=config.num_samples, trace=trace)
 
 
@@ -373,7 +377,7 @@ def inv_det_sphere(op: MatrixFreeOperator, config: EstimatorConfig) -> EstimateR
     n, width = op.n, _frame_width(op.n)
 
     def new_weigh(rows: int):
-        # this stream's draw with the negatives of its last w - 1 coordinates, and
+        # this worker's draw with the negatives of its last w - 1 coordinates, and
         # its norms, refilled by every chunk; glibc keeps the large allocation in the heap
         signed, norms = np.empty((n + width - 1) * rows), np.empty((width + 2, rows))
 

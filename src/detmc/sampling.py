@@ -6,7 +6,7 @@ Reproducibility contract: every draw is a pure function of ``(seed,
 stream_id)``.  The generator is numpy's PCG64 keyed by
 ``SeedSequence(entropy=seed, spawn_key=(stream_id,))``; distinct stream ids
 give statistically independent substreams, which is how the estimators hand
-one stream to each parallel worker.  Gaussian variates come from numpy's
+one stream to each chunk of work.  Gaussian variates come from numpy's
 ziggurat (``Generator.standard_normal``); both choices are fixed for this
 release, since changing either silently changes every seeded result.
 

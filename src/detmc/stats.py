@@ -11,9 +11,9 @@ The accumulator tracks
 which is enough to recover the log of the mean weight and the linear-domain
 standard error of the mean.  ``log_total`` is the log of the running sum.
 ``update_many`` records it after chosen positions of a block, from the shifted
-weights it folds, in ``marks``, and ``merge`` offsets a later stream's marks by
-the total before it: the estimators' traces.  Standard errors use the sample
-variance with Bessel correction (count - 1).  A zero that carries no
+weights it folds, in ``marks``, and ``merge`` offsets a later accumulator's
+marks by the total before it: the estimators' traces.  Standard errors use the
+sample variance with Bessel correction (count - 1).  A zero that carries no
 information about the spread, from one folded weight or from weights that
 are all zero, comes with ``low_count`` set.  The standard error can overflow
 to +inf for extreme log-ranges; that is reported as-is, never raised.  The

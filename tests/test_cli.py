@@ -301,11 +301,16 @@ class TestExitCodes:
     def test_no_source_is_usage_error(self):
         assert run_cli("--estimator", "sphere_invdet", "--samples", "10") == 64
 
-    def test_indivisible_streams_usage_error(self):
-        assert run_cli(
-            "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
-            "--n", "3", "--samples", "10", "--streams", "3",
-        ) == 64
+    @pytest.mark.parametrize("samples", ["10", "40001"])  # one chunk, and four at n = 3
+    def test_indivisible_budget_prints_the_one_stream_summary(self, samples, capsys):
+        # --streams sets only how many threads share the work: a budget that 3 does not
+        # divide runs, and prints what one stream prints
+        argv = ["--estimator", "sphere_invdet", "--ensemble", "gaussian_iid", "--n", "3",
+                "--samples", samples]
+        assert run_cli(*argv, "--streams", "1") == 0
+        one = capsys.readouterr().out
+        assert run_cli(*argv, "--streams", "3") == 0
+        assert capsys.readouterr().out == one
 
     def test_unknown_estimator_usage_error(self, capsys):
         for name in ("nonsense", "gaussian_ratio_invdet", "importance_invdet"):  # removed
@@ -391,8 +396,6 @@ class TestExitCodes:
             (False, ["--samples", "0"], "--samples"),
             (False, ["--streams", "0"], "--streams"),
             (False, ["--streams", "-1"], "--streams"),
-            (False, ["--samples", "10", "--streams", "3"], "divisible"),
-            (True, ["--samples", "10", "--streams", "3"], "divisible"),
             (True, ["--samples", "0"], "--samples"),
         ],
     )
@@ -404,7 +407,7 @@ class TestExitCodes:
             "--estimator", "sphere_invdet", "--matrix", "/nonexistent/m.txt", *trace, *flags,
         ) == 64
         err = capsys.readouterr().err
-        assert err.startswith("usage: detmc ")  # the library's refusals too, via parser.error
+        assert err.startswith("usage: detmc ")
         assert named in err
         assert not (tmp_path / "t.csv").exists()
 
@@ -456,8 +459,7 @@ common = ["--ensemble", "orthogonal", "--n", "4", "--samples", "64"]
 codes = [main(["--estimator", "sphere_invdet", *common]),
          main(["--estimator", "inverse_solve_det", *common, "--streams", "2",
                "--trace", sys.argv[1]]),
-         main(["--estimator", "sphere_invdet", "--matrix", "missing.txt",
-               "--samples", "10", "--streams", "3"]),
+         main(["--estimator", "sphere_invdet", "--n", "3", "--matrix", "missing.txt"]),
          main(["convergence", "--estimator", "inverse_solve_det", *common,
                "--out", sys.argv[2]])]
 # numpy.random's Cython extensions register two in-memory modules when they load
@@ -470,8 +472,8 @@ print(sorted(top(sys.modules) - baseline - set(sys.stdlib_module_names) - {"detm
 def test_the_runtime_needs_only_numpy(tmp_path):
     # against what the interpreter and numpy had already loaded, not an allow-list: site
     # set-up may load other packages before any of detmc is imported.  The traced run
-    # folds with a trace, which the first does not; the third call's indivisible budget
-    # is refused (64) before its missing file is read (2), and the removed subcommand
+    # folds with a trace, which the first does not; the third call's --n, an --ensemble
+    # flag, is refused (64) before its missing file is read (2), and the removed subcommand
     # is refused (64) without writing its --out file
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

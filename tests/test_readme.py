@@ -1,6 +1,6 @@
 """README's CLI section: every ``detmc ...`` command runs and exits 0, a traced one
 prints what it prints untraced, and the keys it lists are the ones ``detmc`` prints,
-in order."""
+in order.  Its Python API block runs, asserts included."""
 
 import pathlib
 import re
@@ -14,8 +14,12 @@ from detmc.cli import main
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
+def section(title):
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def cli_section():
-    return README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return section("CLI")
 
 
 def cli_commands():
@@ -53,3 +57,10 @@ def test_readme_lists_the_keys_estimate_prints(capsys):
                  "--n", "3", "--samples", "6"]) == 0
     printed = [line.partition(": ")[0] for line in capsys.readouterr().out.splitlines()]
     assert re.findall(r"`(\w+)`", listed) == printed
+
+
+def test_readme_python_api_block_runs(capsys):
+    block = re.search(r"```python\n(.*?)```", section("Python API"), re.S).group(1)
+    assert "num_streams=1" in block
+    exec(compile(block, str(README), "exec"), {})
+    assert len(capsys.readouterr().out.split()) == 3  # the printed log_mean, exact, std_error
