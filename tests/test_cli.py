@@ -227,6 +227,19 @@ class TestConvergence:
         assert run_cli(*argv, "--trace", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("samples", ["10", "40001"])  # one chunk, and four at n = 3
+    def test_trace_file_is_the_same_for_every_stream_count(self, samples, tmp_path):
+        # a chunk, not a thread, owns each random stream, so --streams changes no trace
+        # point, also on a budget that the stream count does not divide
+        argv = ["--estimator", "sphere_invdet", "--ensemble", "gaussian_iid", "--n", "3",
+                "--samples", samples, "--seed", "2"]
+        one = tmp_path / "one.csv"
+        assert run_cli(*argv, "--streams", "1", "--trace", str(one)) == 0
+        for streams in ("2", "3", "7"):
+            out = tmp_path / f"{streams}.csv"
+            assert run_cli(*argv, "--streams", streams, "--trace", str(out)) == 0
+            assert out.read_bytes() == one.read_bytes()
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         code = run_cli(
             "--estimator", "sphere_invdet", "--ensemble", "gaussian_iid",
@@ -397,6 +410,7 @@ class TestExitCodes:
             (False, ["--streams", "0"], "--streams"),
             (False, ["--streams", "-1"], "--streams"),
             (True, ["--samples", "0"], "--samples"),
+            (True, ["--streams", "0"], "--streams"),
         ],
     )
     def test_bad_count_refused_before_loading_the_matrix(self, traced, flags, named, tmp_path,

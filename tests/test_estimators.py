@@ -715,6 +715,21 @@ class TestStreams:
                                EstimatorConfig(4 * _chunk_rows(2) + 1, num_streams=3))
         assert seen == set(range(5)) - set(range(failing + 3, 5, 3))
 
+    def test_streams_beyond_the_chunk_count_start_no_thread(self):
+        # a 10-sample call is one chunk: the workers that would have no chunk are
+        # not started, so the product runs on the calling thread beside no pool thread
+        seen = set()
+
+        def apply_batch(x):
+            seen.add((threading.get_ident(), threading.active_count()))
+            return 2.0 * x
+
+        op = MatrixFreeOperator(3, apply_batch)
+        one = inv_det_sphere(op, EstimatorConfig(10, seed=5, trace_stride=3))
+        seven = inv_det_sphere(op, EstimatorConfig(10, seed=5, num_streams=7, trace_stride=3))
+        assert seen == {(threading.get_ident(), threading.active_count())}
+        assert bits(seven) == bits(one)
+
     def test_stream_counts_statistically_compatible(self):
         m = generate(EnsembleSpec("gaussian_iid", n=5, seed=3))
         op = operator_from_matrix(m)
