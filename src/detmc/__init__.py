@@ -9,13 +9,12 @@ specialize) with log-domain streaming statistics, seeded reproducible
 sampling, an exact LU oracle, and a CLI for convergence experiments.
 """
 
-from .ensembles import EnsembleSpec, InvalidEnsembleError, generate
+from .ensembles import EnsembleSpec, generate
 from .estimators import (
     DistributionPair,
     EstimateResult,
     EstimatorConfig,
     MatrixFreeOperator,
-    UnsupportedSampleError,
     det_via_inverse_solves,
     inv_det_importance,
     inv_det_sphere,
@@ -41,14 +40,12 @@ __all__ = [
     "EnsembleSpec",
     "EstimateResult",
     "EstimatorConfig",
-    "InvalidEnsembleError",
     "LUFactorization",
     "MatrixFormatError",
     "MatrixFreeOperator",
     "RngStream",
     "SingularMatrixError",
     "StreamingAccumulator",
-    "UnsupportedSampleError",
     "det_via_inverse_solves",
     "generate",
     "inv_det_importance",

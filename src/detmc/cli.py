@@ -87,9 +87,9 @@ def _build_parser() -> _Parser:
     source.add_argument("--matrix", help="path to a plain-text matrix file")
     source.add_argument("--ensemble", choices=sorted(KINDS))
     p.add_argument("--n", type=_count_flag(1), help="ensemble dimension")
-    p.add_argument("--scale", type=float, help="scaled_identity factor")
     p.add_argument("--cond", type=float, help="ill_conditioned target condition number")
-    p.add_argument("--diag", type=_floats, help="diagonal entries, comma separated")
+    p.add_argument("--diag", type=_floats,
+                   help="diagonal entries, comma separated; one entry is repeated --n times")
     p.add_argument("--samples", type=_count_flag(1), default=1000)
     p.add_argument("--seed", type=_count_flag(0), default=0)
     p.add_argument("--streams", type=_count_flag(1), default=1)
@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
 def _inputs(parser: _Parser, args) -> tuple[EstimatorConfig, EnsembleSpec | None]:
     """The run's config and ensemble spec (``None`` for ``--matrix``), built before
     any file is read; every usage error exits through ``parser.error``."""
-    for flag in ("n", "scale", "cond", "diag"):
+    for flag in ("n", "cond", "diag"):
         if args.matrix is not None and getattr(args, flag) is not None:
             parser.error(f"--{flag} is an --ensemble flag; it does not apply to --matrix")
     stride = default_trace_stride(args.samples) if args.trace is not None else 0
@@ -111,10 +111,7 @@ def _inputs(parser: _Parser, args) -> tuple[EstimatorConfig, EnsembleSpec | None
         n = len(args.diag) if args.n is None and args.diag is not None else args.n
         if n is None:
             parser.error("--ensemble requires --n (or --diag for the diagonal kind)")
-        return config, EnsembleSpec(
-            kind=args.ensemble, n=n, seed=args.seed, scale=args.scale, diag=args.diag,
-            cond=args.cond,
-        )
+        return config, EnsembleSpec(args.ensemble, n, args.seed, diag=args.diag, cond=args.cond)
     except ValueError as exc:  # EstimatorConfig's or EnsembleSpec's refusal
         parser.error(str(exc))
 

@@ -13,8 +13,8 @@ Families:
   Gaussian draw with each column flipped by the sign of the corresponding R
   diagonal (plain QR is not Haar without the sign fix).  Every estimator
   weight is exactly 1 on these, making them zero-variance test anchors.
-* ``scaled_identity``: c * I.
-* ``diagonal``: diag(entries), all entries nonzero.
+* ``diagonal``: diag(entries), all entries finite and nonzero; a single
+  entry c is repeated n times, which makes c * I.
 * ``ill_conditioned``: U diag(sigma) V^T with Haar U, V and sigma
   log-spaced from 1 down to 1/cond.  Small cond values double as
   "well-conditioned matrix with known singular values"; large ones are where
@@ -31,47 +31,40 @@ import numpy as np
 from .linalg import DenseMatrix
 from .sampling import RngStream, _count, gaussian_matrix
 
-__all__ = ["EnsembleSpec", "InvalidEnsembleError", "generate", "KINDS", "ENSEMBLE_STREAM_ID"]
+__all__ = ["EnsembleSpec", "generate", "KINDS", "ENSEMBLE_STREAM_ID"]
 
 ENSEMBLE_STREAM_ID = 2**63
 
 
-class InvalidEnsembleError(ValueError):
-    """The ensemble spec is malformed (unknown kind, bad parameters)."""
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
+    """One matrix of a family; a malformed spec (unknown kind, bad
+    parameters) is a ``ValueError``."""
+
     kind: str
     n: int
     seed: int = 0
-    scale: float | None = None
     diag: tuple[float, ...] | None = None
     cond: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise InvalidEnsembleError(f"unknown ensemble kind {self.kind!r}")
-        _count("n", self.n, 1, InvalidEnsembleError)
-        _count("seed", self.seed, 0, InvalidEnsembleError)
-        for field, kind in (
-            ("scale", "scaled_identity"), ("diag", "diagonal"), ("cond", "ill_conditioned")
-        ):
+            raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        _count("n", self.n, 1)
+        _count("seed", self.seed, 0)
+        for field, kind in (("diag", "diagonal"), ("cond", "ill_conditioned")):
             if getattr(self, field) is not None and self.kind != kind:
-                raise InvalidEnsembleError(f"{field} applies only to the {kind} kind")
-        if self.kind == "scaled_identity":
-            if self.scale is None or self.scale == 0.0 or not math.isfinite(self.scale):
-                raise InvalidEnsembleError("scaled_identity needs a finite nonzero scale")
+                raise ValueError(f"{field} applies only to the {kind} kind")
         if self.kind == "diagonal":
-            if not self.diag or len(self.diag) != self.n:
-                raise InvalidEnsembleError(f"diagonal needs exactly {self.n} entries")
+            if not self.diag or len(self.diag) not in (1, self.n):
+                raise ValueError(f"diagonal needs 1 or n = {self.n} entries")
             if any(d == 0.0 or not math.isfinite(d) for d in self.diag):
-                raise InvalidEnsembleError("diagonal entries must be finite and nonzero")
+                raise ValueError("diagonal entries must be finite and nonzero")
         if self.kind == "ill_conditioned":
             if self.cond is None or self.cond < 1.0 or not math.isfinite(self.cond):
-                raise InvalidEnsembleError("ill_conditioned needs a finite cond >= 1")
+                raise ValueError("ill_conditioned needs a finite cond >= 1")
             if self.n == 1 and self.cond != 1.0:
-                raise InvalidEnsembleError("a 1x1 matrix cannot have cond > 1")
+                raise ValueError("a 1x1 matrix cannot have cond > 1")
 
 
 def generate(spec: EnsembleSpec) -> DenseMatrix:
@@ -95,8 +88,7 @@ def _haar_orthogonal(rng: RngStream, n: int) -> np.ndarray:
 _BUILDERS = {
     "gaussian_iid": lambda spec, rng: gaussian_matrix(rng, spec.n, spec.n),
     "orthogonal": lambda spec, rng: _haar_orthogonal(rng, spec.n),
-    "scaled_identity": lambda spec, rng: spec.scale * np.eye(spec.n),
-    "diagonal": lambda spec, rng: np.diag(np.asarray(spec.diag, dtype=np.float64)),
+    "diagonal": lambda spec, rng: np.diag(np.full(spec.n, spec.diag, dtype=np.float64)),
     "ill_conditioned": lambda spec, rng: (
         (_haar_orthogonal(rng, spec.n) * singular_values(spec.n, spec.cond))
         @ _haar_orthogonal(rng, spec.n).T

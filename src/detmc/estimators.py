@@ -44,14 +44,15 @@ when 2 v sigma_min^2 <= 1).  Confidence-interval-based checks in this
 package stick to well-conditioned ensembles.
 
 Sampling is cut into chunks that depend only on ``num_samples`` and n, and
-chunk c draws from its own substream ``RngStream(seed, c)``.  ``num_streams``
-workers share the chunks (worker 0 on the calling thread, one pool thread
-per further worker up to the CPU count), and the chunks' accumulators are
-merged in chunk order, so a result is a pure function of ``num_samples``,
-``seed`` and ``trace_stride``, the same bits for every ``num_streams`` and
-however the threads were scheduled.  Operators and distribution callables
-must be safe to call from concurrent threads, or the estimate must run with
-``num_streams = 1``.
+chunk c draws from its own substream ``RngStream(seed, c)``.  S workers
+share the chunks, S = ``num_streams`` but no more than the CPU count or the
+chunk count (worker 0 on the calling thread, one pool thread per further
+worker, so no more workers than CPUs are started), and the chunks'
+accumulators are merged in chunk order, so a result is a pure function of
+``num_samples``, ``seed`` and ``trace_stride``, the same bits for every
+``num_streams`` and however the threads were scheduled.  Operators and
+distribution callables must be safe to call from concurrent threads, or the
+estimate must run with ``num_streams = 1``.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ __all__ = [
     "EstimatorConfig",
     "EstimateResult",
     "DistributionPair",
-    "UnsupportedSampleError",
     "operator_from_matrix",
     "inv_det_sphere",
     "inv_det_importance",
@@ -93,10 +93,6 @@ def _frame_width(n: int) -> int:
     """Directions the sphere kernel weighs per Gaussian row x: x, Px, ..., P^{w-1} x.
     The negacyclic shift P has P^n = -I, so at most n of them differ up to sign."""
     return min(n, 8)
-
-
-class UnsupportedSampleError(RuntimeError):
-    """q produced a sample at which its own density is zero."""
 
 
 @dataclass(frozen=True)
@@ -135,10 +131,11 @@ def operator_from_matrix(m: DenseMatrix) -> MatrixFreeOperator:
 class EstimatorConfig:
     """Sample budget, seeding and trace layout shared by all estimators.
 
-    ``num_streams`` is the number of threads that share the work; it does
-    not change the result.  ``trace_stride = 0`` disables the trace; ``k > 0``
-    records the running log-domain mean after every k-th sample (plus the
-    final sample).
+    ``num_streams`` is the number of threads that share the work, capped at
+    the CPU count (no more workers than CPUs are started) and at the number
+    of chunks; it does not change the result.  ``trace_stride = 0`` disables
+    the trace; ``k > 0`` records the running log-domain mean after every k-th
+    sample (plus the final sample).
     """
 
     num_samples: int
@@ -166,8 +163,8 @@ class DistributionPair:
     evaluate log-densities row-wise on such blocks, one value per row: a
     block or a set of values of any other shape, a scalar included, is a
     ``ValueError``.  q must have full support: a drawn sample with
-    ``log_q = -inf`` is reported as :class:`UnsupportedSampleError`.  p may
-    assign zero density (the weight is then exactly zero).
+    ``log_q = -inf`` is a ``ValueError`` too.  p may assign zero density (the
+    weight is then exactly zero).
     """
 
     log_p: Callable[[np.ndarray], np.ndarray]
@@ -286,7 +283,7 @@ def importance_log_weights(
     """Per-sample log-weights log p(op(x)) - log q(x)."""
     log_q = _row_values("log_q", dist.log_q(x), len(x))
     if np.any(np.isneginf(log_q)):
-        raise UnsupportedSampleError("q has zero density at one of its own samples")
+        raise ValueError("q has zero density at one of its own samples")
     images = _apply(op, x)
     if not np.isfinite(images).all():
         raise ValueError("operator produced a non-finite image")
@@ -319,16 +316,18 @@ def _run(new_weigh, config: EstimatorConfig, rows: int, width: int = 1) -> Estim
     """Fold ceil(num_samples / width) log-weights, each the mean over ``width``
     samples, in chunks: chunk c is the c-th block of at most ``rows`` of them,
     drawn by ``weigh(rng, k)`` from ``RngStream(config.seed, c)`` and folded into
-    an accumulator of its own.  Worker j of S = ``config.num_streams`` folds
-    chunks j, j + S, j + 2S, ... with its own ``weigh = new_weigh(r)``,
-    r = min(rows, the weights), so the blocks a ``weigh`` refills belong to one
-    worker of one call.  The chunk records are merged in chunk order, so the
-    result does not depend on S."""
+    an accumulator of its own.  Worker j of S = min(``config.num_streams``,
+    chunks, CPUs) folds chunks j, j + S, j + 2S, ... with its own
+    ``weigh = new_weigh(r)``, r = min(rows, the weights), so the blocks a
+    ``weigh`` refills belong to one worker of one call.  The chunk records are
+    merged in chunk order, so the result does not depend on S."""
     total, stride = config.num_samples, config.trace_stride
     weights = (total + width - 1) // width
     rows = min(rows, weights)
     chunks = (weights + rows - 1) // rows
-    streams = min(config.num_streams, chunks)  # a worker with no chunk would only start a thread
+    # a worker with no chunk would only start a thread, and one past the CPU count
+    # would only wait for a CPU
+    streams = min(config.num_streams, chunks, os.cpu_count() or 1)
     # the trace plan: 1-based sample indices, every stride-th and the last (the range
     # stops below the last, so it is listed once), and the weight each closes, 1-based
     grid = np.append(np.arange(stride, total, stride), total) if stride else np.empty(0, int)
@@ -350,7 +349,7 @@ def _run(new_weigh, config: EstimatorConfig, rows: int, width: int = 1) -> Estim
 
     # worker 0 on this thread, so a 1-stream call starts no thread; an exception
     # in any worker is raised once the pool has finished every other worker
-    with ThreadPoolExecutor(max_workers=max(1, min(streams, os.cpu_count() or 1) - 1)) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, streams - 1)) as pool:
         futures = [pool.submit(run, j) for j in range(1, streams)]
         folded = [run(0), *(future.result() for future in futures)]
     # chunk c is entry c // S of worker c % S: merged in chunk order whatever the scheduling

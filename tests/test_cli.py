@@ -37,8 +37,8 @@ def parse_csv(path):
 class TestEstimate:
     def test_scaled_identity_sphere(self, capsys):
         code = run_cli(
-            "--estimator", "sphere_invdet", "--ensemble", "scaled_identity",
-            "--scale", "2", "--n", "3", "--samples", "100", "--seed", "1",
+            "--estimator", "sphere_invdet", "--ensemble", "diagonal",
+            "--diag", "2", "--n", "3", "--samples", "100", "--seed", "1",
         )
         assert code == 0
         s = parse_summary(capsys.readouterr().out)
@@ -91,8 +91,8 @@ class TestEstimate:
 
     def test_overflow_token(self, capsys):
         code = run_cli(
-            "--estimator", "inverse_solve_det", "--ensemble", "scaled_identity",
-            "--scale", "10", "--n", "400", "--samples", "4", "--seed", "0",
+            "--estimator", "inverse_solve_det", "--ensemble", "diagonal",
+            "--diag", "10", "--n", "400", "--samples", "4", "--seed", "0",
         )
         assert code == 0
         s = parse_summary(capsys.readouterr().out)
@@ -103,8 +103,8 @@ class TestEstimate:
         # |det A| = e^-921 is a finite log whose exponential is below the least subnormal
         trace = tmp_path / "t.csv"
         code = run_cli(
-            "--estimator", "inverse_solve_det", "--ensemble", "scaled_identity",
-            "--scale", "1e-200", "--n", "2", "--samples", "10", "--trace", str(trace),
+            "--estimator", "inverse_solve_det", "--ensemble", "diagonal",
+            "--diag", "1e-200", "--n", "2", "--samples", "10", "--trace", str(trace),
         )
         assert code == 0
         s = parse_summary(capsys.readouterr().out)
@@ -139,13 +139,14 @@ class TestEstimate:
         assert s["n"] == "2"
         assert float(s["oracle_log_abs_det"]) == pytest.approx(math.log(8.0), abs=1e-12)
 
-    def test_diag_flag_infers_dimension(self, capsys):
+    @pytest.mark.parametrize("diag, n", [("2,-1.5,4", "3"), ("-3", "1")])
+    def test_diag_flag_infers_dimension(self, diag, n, capsys):
         code = run_cli(
             "--estimator", "sphere_invdet", "--ensemble", "diagonal",
-            "--diag", "2,-1.5,4", "--samples", "100", "--seed", "0",
+            "--diag", diag, "--samples", "100", "--seed", "0",
         )
         assert code == 0
-        assert parse_summary(capsys.readouterr().out)["n"] == "3"
+        assert parse_summary(capsys.readouterr().out)["n"] == n
 
 
     @pytest.mark.parametrize("traced", [False, True])
@@ -170,8 +171,8 @@ class TestConvergence:
     def test_scaled_identity_flat_line(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = run_cli(
-            "--estimator", "sphere_invdet", "--ensemble", "scaled_identity",
-            "--scale", "2", "--n", "3", "--samples", "500", "--seed", "1", "--trace", str(out),
+            "--estimator", "sphere_invdet", "--ensemble", "diagonal",
+            "--diag", "2", "--n", "3", "--samples", "500", "--seed", "1", "--trace", str(out),
         )
         assert code == 0
         header, rows = parse_csv(out)
@@ -353,11 +354,14 @@ class TestExitCodes:
         ) == 64
         assert "--trace" in capsys.readouterr().err
 
-    def test_diag_dimension_mismatch_usage_error(self):
+    @pytest.mark.parametrize("diag, n", [("1,2,3", "2"), ("1,2", "3"), ("1,2,3", "1")])
+    def test_diag_dimension_mismatch_usage_error(self, diag, n, capsys):
+        # one entry is repeated --n times; any other length must be --n
         assert run_cli(
             "--estimator", "sphere_invdet", "--ensemble", "diagonal",
-            "--diag", "1,2,3", "--n", "2", "--samples", "10",
+            "--diag", diag, "--n", n, "--samples", "10",
         ) == 64
+        assert f"diagonal needs 1 or n = {n} entries" in capsys.readouterr().err
 
     def test_matrix_file_with_a_token_that_is_not_a_float(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -395,6 +399,25 @@ class TestExitCodes:
         ) == 64
         assert "--q-var" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--matrix", "/nonexistent/m.txt", "--scale", "2"], "unrecognized arguments: --scale"),
+            (["--ensemble", "gaussian_iid", "--n", "3", "--scale", "2"],
+             "unrecognized arguments: --scale"),
+            (["--ensemble", "scaled_identity", "--n", "3"], "invalid choice: 'scaled_identity'"),
+            (["--matrix", "/nonexistent/m.txt", "--ensemble", "scaled_identity"],
+             "invalid choice: 'scaled_identity'"),
+        ],
+    )
+    def test_scaled_identity_spellings_usage_error(self, flags, named, capsys):
+        # c I is --ensemble diagonal --diag c --n N; a missing file would exit 2 if the
+        # matrix were read first
+        assert run_cli("--estimator", "sphere_invdet", "--samples", "10", *flags) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert named in err
+
     def test_usage_checked_before_loading_the_matrix(self, capsys):
         # a missing file would exit 2 if the matrix were read first
         assert run_cli(
@@ -429,12 +452,11 @@ class TestExitCodes:
         "flags, named",
         [
             (["--ensemble", "gaussian_iid", "--n", "3", "--cond", "5"], "cond"),
-            (["--ensemble", "scaled_identity", "--scale", "2", "--n", "3", "--diag", "1,2,3"],
-             "diag"),
-            (["--ensemble", "orthogonal", "--n", "3", "--scale", "2"], "scale"),
+            (["--ensemble", "orthogonal", "--n", "3", "--diag", "1,2,3"], "diag"),
+            (["--ensemble", "ill_conditioned", "--n", "3", "--cond", "2", "--diag", "2"], "diag"),
             (["--matrix", "MATRIX", "--n", "7", "--cond", "3"], "--n"),
             (["--matrix", "MATRIX", "--cond", "3"], "--cond"),
-            (["--matrix", "MATRIX", "--scale", "2"], "--scale"),
+            (["--matrix", "MATRIX", "--diag", "2"], "--diag"),
             (["--matrix", "/nonexistent/m.txt", "--diag", "1,2"], "--diag"),
         ],
     )
@@ -473,9 +495,13 @@ common = ["--ensemble", "orthogonal", "--n", "4", "--samples", "64"]
 codes = [main(["--estimator", "sphere_invdet", *common]),
          main(["--estimator", "inverse_solve_det", *common, "--streams", "2",
                "--trace", sys.argv[1]]),
+         main(["--estimator", "sphere_invdet", "--ensemble", "diagonal", "--diag", "2",
+               "--n", "3", "--samples", "64"]),
          main(["--estimator", "sphere_invdet", "--n", "3", "--matrix", "missing.txt"]),
          main(["convergence", "--estimator", "inverse_solve_det", *common,
-               "--out", sys.argv[2]])]
+               "--out", sys.argv[2]]),
+         main(["--estimator", "sphere_invdet", "--ensemble", "diagonal", "--diag", "2",
+               "--n", "3", "--scale", "2"])]
 # numpy.random's Cython extensions register two in-memory modules when they load
 cython = {name for name in sys.modules if name == "cython_runtime" or name.startswith("_cython_")}
 print(codes)
@@ -486,9 +512,10 @@ print(sorted(top(sys.modules) - baseline - set(sys.stdlib_module_names) - {"detm
 def test_the_runtime_needs_only_numpy(tmp_path):
     # against what the interpreter and numpy had already loaded, not an allow-list: site
     # set-up may load other packages before any of detmc is imported.  The traced run
-    # folds with a trace, which the first does not; the third call's --n, an --ensemble
-    # flag, is refused (64) before its missing file is read (2), and the removed subcommand
-    # is refused (64) without writing its --out file
+    # folds with a trace, which the first does not; the third estimates 2 I as a one-entry
+    # diagonal; the fourth call's --n, an --ensemble flag, is refused (64) before its
+    # missing file is read (2), the removed subcommand is refused (64) without writing its
+    # --out file, and so is the removed --scale flag (64)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -496,6 +523,6 @@ def test_the_runtime_needs_only_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT, str(trace), str(old)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 64, 64]", "[]"]
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 64, 64, 64]", "[]"]
     assert len(trace.read_text().splitlines()) == 65  # a header and one line per sample
     assert not old.exists()

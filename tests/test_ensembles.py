@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from detmc.ensembles import EnsembleSpec, InvalidEnsembleError, generate, singular_values
+import detmc
+from detmc.ensembles import KINDS, EnsembleSpec, generate, singular_values
+from detmc.estimators import (
+    EstimatorConfig,
+    det_via_inverse_solves,
+    inv_det_sphere,
+    operator_from_matrix,
+)
 from detmc.linalg import DenseMatrix, log_abs_det, lu_factorize
 
 
@@ -14,9 +21,32 @@ def oracle_log_det(m: DenseMatrix) -> float:
 
 
 def test_scaled_identity():
-    m = generate(EnsembleSpec("scaled_identity", n=3, seed=0, scale=2.0))
+    # c I is the diagonal kind with one entry, repeated n times
+    m = generate(EnsembleSpec("diagonal", 3, 0, (2.0,)))
     np.testing.assert_array_equal(m.data, 2.0 * np.eye(3))
     assert oracle_log_det(m) == pytest.approx(math.log(8.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 400])
+@pytest.mark.parametrize("c", [2.0, -3.0, 1e-200, 10.0])
+def test_one_entry_diagonal_is_c_times_the_identity(c, n):
+    # the same matrix, oracle and estimates, bit for bit, as c I built by hand
+    spec = generate(EnsembleSpec("diagonal", n, diag=(c,)))
+    by_hand = DenseMatrix(c * np.eye(n))
+    np.testing.assert_array_equal(spec.data, by_hand.data)
+    assert oracle_log_det(spec) == oracle_log_det(by_hand)
+    config = EstimatorConfig(4001, seed=5, num_streams=2, trace_stride=97)
+    for estimate in (lambda m: inv_det_sphere(operator_from_matrix(m), config),
+                     lambda m: det_via_inverse_solves(m, config)):
+        assert estimate(spec) == estimate(by_hand)
+
+
+def test_the_scaled_identity_spellings_are_gone():
+    assert "scaled_identity" not in KINDS
+    with pytest.raises(TypeError, match="scale"):
+        EnsembleSpec("diagonal", 3, scale=2.0)
+    for name in ("InvalidEnsembleError", "UnsupportedSampleError"):
+        assert name not in detmc.__all__ and not hasattr(detmc, name)
 
 
 def test_orthogonal_is_orthogonal_with_unit_det():
@@ -84,19 +114,25 @@ def test_matrix_draws_do_not_consume_estimator_streams():
     [
         dict(kind="unknown", n=3),
         dict(kind="gaussian_iid", n=0),
-        dict(kind="scaled_identity", n=3),
-        dict(kind="scaled_identity", n=3, scale=0.0),
-        dict(kind="diagonal", n=3, diag=(1.0, 2.0)),
+        dict(kind="scaled_identity", n=3, message="unknown ensemble kind 'scaled_identity'"),
+        dict(kind="diagonal", n=3, diag=(1.0, 2.0), message="diagonal needs 1 or n = 3 entries"),
+        dict(kind="diagonal", n=3, diag=(1.0, 2.0, 3.0, 4.0), message="needs 1 or n = 3"),
+        dict(kind="diagonal", n=3, diag=(), message="needs 1 or n = 3"),
+        dict(kind="diagonal", n=3),
         dict(kind="diagonal", n=2, diag=(1.0, 0.0)),
+        # one entry is repeated n times, so it is checked as every entry is
+        dict(kind="diagonal", n=3, diag=(0.0,), message="must be finite and nonzero"),
+        dict(kind="diagonal", n=3, diag=(math.inf,), message="must be finite and nonzero"),
+        dict(kind="diagonal", n=1, diag=(math.nan,), message="must be finite and nonzero"),
         dict(kind="ill_conditioned", n=3),
         dict(kind="ill_conditioned", n=3, cond=0.5),
         dict(kind="ill_conditioned", n=1, cond=10.0),
         # a field the kind does not use would be silently ignored
         dict(kind="gaussian_iid", n=3, cond=5.0),
-        dict(kind="orthogonal", n=3, scale=2.0),
-        dict(kind="scaled_identity", n=3, scale=2.0, diag=(1.0, 2.0, 3.0)),
+        dict(kind="orthogonal", n=3, diag=(2.0,)),
+        dict(kind="gaussian_iid", n=3, diag=(1.0, 2.0, 3.0)),
         dict(kind="diagonal", n=2, diag=(1.0, 2.0), cond=1.0),
-        dict(kind="ill_conditioned", n=2, cond=2.0, scale=1.0),
+        dict(kind="ill_conditioned", n=2, cond=2.0, diag=(1.0,)),
         # a non-integer dimension or seed would be truncated or fail inside numpy
         dict(kind="gaussian_iid", n=2.5),
         dict(kind="gaussian_iid", n=3.0),
@@ -115,5 +151,5 @@ def test_matrix_draws_do_not_consume_estimator_streams():
 )
 def test_invalid_specs_rejected(kwargs):
     spec = {"seed": 0, **kwargs}
-    with pytest.raises(InvalidEnsembleError, match=spec.pop("message", None)):
+    with pytest.raises(ValueError, match=spec.pop("message", None)):
         EnsembleSpec(**spec)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import threading
 import tracemalloc
 
@@ -18,7 +19,6 @@ from detmc.estimators import (
     EstimateResult,
     EstimatorConfig,
     MatrixFreeOperator,
-    UnsupportedSampleError,
     _chunk_rows,
     _frame_width,
     default_trace_stride,
@@ -548,7 +548,7 @@ class TestImportanceEstimator:
             q_sampler=lambda rng, k: gaussian_matrix(rng, k, 2),
             log_q=lambda x: np.full(x.shape[0], -np.inf),
         )
-        with pytest.raises(UnsupportedSampleError):
+        with pytest.raises(ValueError, match="q has zero density at one of its own samples"):
             inv_det_importance(op, dist, EstimatorConfig(10, seed=0))
 
     def test_zero_p_density_is_zero_weight(self):
@@ -694,11 +694,12 @@ class TestStreams:
         assert inv_det_sphere(op, cfg) == inv_det_sphere(op, cfg)
 
     @pytest.mark.parametrize("failing", [0, 1, 2, 4])
-    def test_error_in_one_stream_is_raised(self, failing):
+    def test_error_in_one_stream_is_raised(self, failing, monkeypatch):
         # q tags each row with its chunk's stream id: the operator fails on one of the
         # five chunks only, and the error surfaces after the other workers have run.
         # Worker j of 3 takes chunks j and j + 3, so a failure in chunk 0 or 1 also
-        # skips chunk 3 or 4
+        # skips chunk 3 or 4; three CPUs, so that 3 streams are 3 workers on any host
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         base = DistributionPair.gaussian_q(2, 1.0)
         dist = DistributionPair(log_p=base.log_p, log_q=base.log_q,
                                 q_sampler=lambda rng, k: np.full((k, 2), float(rng.stream_id)))
@@ -728,6 +729,28 @@ class TestStreams:
         one = inv_det_sphere(op, EstimatorConfig(10, seed=5, trace_stride=3))
         seven = inv_det_sphere(op, EstimatorConfig(10, seed=5, num_streams=7, trace_stride=3))
         assert seen == {(threading.get_ident(), threading.active_count())}
+        assert bits(seven) == bits(one)
+
+    def test_no_more_workers_than_cpus(self, monkeypatch):
+        # on two CPUs, 7 streams are two workers: the calling thread folds every other
+        # of the five chunks, not chunk 0 alone while one pool thread folds the rest
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        base = DistributionPair.gaussian_q(2, 1.0)
+        folded = []
+
+        def q_sampler(rng, k):
+            folded.append((threading.get_ident(), rng.stream_id))
+            return base.q_sampler(rng, k)
+
+        dist = DistributionPair(log_p=base.log_p, q_sampler=q_sampler, log_q=base.log_q)
+        op = operator_from_matrix(DenseMatrix(np.diag([2.0, 0.5])))
+        one = inv_det_importance(op, dist, EstimatorConfig(4 * _chunk_rows(2) + 1, seed=3,
+                                                           trace_stride=997))
+        folded.clear()
+        seven = inv_det_importance(op, dist, EstimatorConfig(4 * _chunk_rows(2) + 1, seed=3,
+                                                             num_streams=7, trace_stride=997))
+        assert sorted(c for thread, c in folded if thread == threading.get_ident()) == [0, 2, 4]
+        assert sorted(c for _, c in folded) == [0, 1, 2, 3, 4]
         assert bits(seven) == bits(one)
 
     def test_stream_counts_statistically_compatible(self):
