@@ -38,11 +38,11 @@ EXIT_SINGULAR = 3
 EXIT_USAGE = 64
 
 # each estimator's target, the sign of log|det A| in the target's log, and its run on
-# (matrix, factorization, config)
+# (matrix, config)
 ESTIMATORS = {
     "sphere_invdet": ("inverse_abs_det", -1,
-                      lambda m, f, config: inv_det_sphere(operator_from_matrix(m), config)),
-    "inverse_solve_det": ("abs_det", 1, lambda m, f, config: det_via_inverse_solves(f, config)),
+                      lambda m, config: inv_det_sphere(operator_from_matrix(m), config)),
+    "inverse_solve_det": ("abs_det", 1, det_via_inverse_solves),
 }
 
 
@@ -152,8 +152,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         matrix = load_matrix(args.matrix) if spec is None else generate(spec)
-        f = lu_factorize(matrix)  # once, for both the oracle and inverse_solve_det
-        result = ESTIMATORS[args.estimator][2](matrix, f, config)
+        f = lu_factorize(matrix)  # the matrix keeps it for inverse_solve_det
+        result = ESTIMATORS[args.estimator][2](matrix, config)
         oracle = log_abs_det(f)
         if args.trace is not None:  # first, so an unwritable path prints no summary
             _write_trace(args.trace, oracle, result)

@@ -24,7 +24,9 @@ Families:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -56,11 +58,16 @@ class EnsembleSpec:
             if getattr(self, field) is not None and self.kind != kind:
                 raise ValueError(f"{field} applies only to the {kind} kind")
         if self.kind == "diagonal":
+            if self.diag is not None and not (isinstance(self.diag, Sequence)
+                                              and all(isinstance(d, Real) for d in self.diag)):
+                raise ValueError(f"diag must be a sequence of real numbers, got {self.diag!r}")
             if not self.diag or len(self.diag) not in (1, self.n):
                 raise ValueError(f"diagonal needs 1 or n = {self.n} entries")
             if any(d == 0.0 or not math.isfinite(d) for d in self.diag):
                 raise ValueError("diagonal entries must be finite and nonzero")
         if self.kind == "ill_conditioned":
+            if self.cond is not None and not isinstance(self.cond, Real):
+                raise ValueError(f"cond must be a real number, got {self.cond!r}")
             if self.cond is None or self.cond < 1.0 or not math.isfinite(self.cond):
                 raise ValueError("ill_conditioned needs a finite cond >= 1")
             if self.n == 1 and self.cond != 1.0:

@@ -3,10 +3,13 @@
 Everything here rests on LAPACK's LU through numpy.  ``lu_factorize``
 factors A with ``np.linalg.inv``, whose ``A^{-1}`` turns the per-sample
 solves of the determinant-from-inverse estimator into one matrix product
-per block.  ``np.linalg.slogdet`` factors A again for ``log|det A|``, the
-exact oracle every Monte Carlo estimate here is validated against, only
-when it is first read.  It is kept in log form so the oracle stays finite
-for dimensions where the determinant itself over- or underflows float64.
+per block.  A :class:`DenseMatrix` is immutable, so it keeps its
+factorization for its lifetime once made: every later ``lu_factorize`` of
+the same matrix, and every estimate on it, reuses the one ``A^{-1}``.
+``np.linalg.slogdet`` factors A again for ``log|det A|``, the exact oracle
+every Monte Carlo estimate here is validated against, only when it is
+first read.  It is kept in log form so the oracle stays finite for
+dimensions where the determinant itself over- or underflows float64.
 
 Only dense square matrices are supported here.  Matrix-free callers supply
 their own apply function to the estimators module instead.
@@ -41,9 +44,15 @@ class MatrixFormatError(ValueError):
     """A matrix file does not follow the plain-text format."""
 
 
+def _norm1(a: np.ndarray) -> float:
+    """||a||_1, the largest column sum of |a|, summed 64 rows at a time: no n x n temporary."""
+    return float(sum(np.abs(a[i: i + 64]).sum(axis=0) for i in range(0, len(a), 64)).max())
+
+
 @dataclass(frozen=True)
 class DenseMatrix:
-    """Immutable n-by-n real matrix with finite entries, row-major storage."""
+    """Immutable n-by-n real matrix with finite entries, row-major storage.
+    Keeps its factorization once :func:`lu_factorize` has made it."""
 
     data: np.ndarray
 
@@ -62,12 +71,31 @@ class DenseMatrix:
     def n(self) -> int:
         return self.data.shape[0]
 
+    @cached_property
+    def _factorization(self) -> LUFactorization:
+        """The one factorization of A, made on first use; a singular A raises on
+        every use and caches nothing."""
+        try:
+            inverse = np.linalg.inv(self.data)
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError("matrix is singular: LU has a zero pivot") from None
+        cond = _norm1(self.data) * _norm1(inverse)
+        if not cond < 1.0 / _EPS:  # also catches an inverse that overflowed to inf
+            raise SingularMatrixError(
+                f"matrix is singular to working precision: 1-norm condition number {cond:.3g}"
+            )
+        inverse.setflags(write=False)
+        # A's entries, not A: the memo then forms no reference cycle, and a matrix is
+        # freed with its A^-1 as soon as the last reference to it goes
+        return LUFactorization(data=self.data, inverse=inverse)
+
 
 @dataclass(frozen=True)
 class LUFactorization:
-    """What the estimators need from the LU of A: ``A^{-1}``; ``log|det A|`` on first read."""
+    """What the estimators need from the LU of A: ``A^{-1}``; ``log|det A|`` on first read.
+    ``data`` is A's read-only entries."""
 
-    matrix: DenseMatrix
+    data: np.ndarray
     inverse: np.ndarray
 
     @property
@@ -76,33 +104,19 @@ class LUFactorization:
 
     @cached_property
     def log_abs_det(self) -> float:
-        return float(np.linalg.slogdet(self.matrix.data)[1])
-
-
-def _norm1(a: np.ndarray) -> float:
-    """||a||_1, the largest column sum of |a|, summed 64 rows at a time: no n x n temporary."""
-    return float(sum(np.abs(a[i: i + 64]).sum(axis=0) for i in range(0, len(a), 64)).max())
+        return float(np.linalg.slogdet(self.data)[1])
 
 
 def lu_factorize(m: DenseMatrix) -> LUFactorization:
-    """Factor A once (``inv``); keep A and the read-only inverse.
+    """A's factorization: ``inv`` on the first call for m, the same object on every
+    later one.
 
-    Raises :class:`SingularMatrixError` when A has a zero pivot, or when
-    ``||A||_1 ||A^{-1}||_1 < 1/eps`` fails: LAPACK's own rule (xGESVX,
+    Raises :class:`SingularMatrixError`, on every call, when A has a zero pivot,
+    or when ``||A||_1 ||A^{-1}||_1 < 1/eps`` fails: LAPACK's own rule (xGESVX,
     RCOND < eps) for a matrix that is singular to working precision.  The
     estimators in this package assume full-rank inputs.
     """
-    try:
-        inverse = np.linalg.inv(m.data)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("matrix is singular: LU has a zero pivot") from None
-    cond = _norm1(m.data) * _norm1(inverse)
-    if not cond < 1.0 / _EPS:  # also catches an inverse that overflowed to inf
-        raise SingularMatrixError(
-            f"matrix is singular to working precision: 1-norm condition number {cond:.3g}"
-        )
-    inverse.setflags(write=False)
-    return LUFactorization(matrix=m, inverse=inverse)
+    return m._factorization
 
 
 def lu_solve_many(f: LUFactorization, rhs: np.ndarray) -> np.ndarray:

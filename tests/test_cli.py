@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import detmc.cli
-import detmc.estimators
 from detmc import EnsembleSpec, EstimatorConfig, generate, inv_det_sphere, operator_from_matrix
 from detmc.cli import main
 
@@ -151,14 +150,9 @@ class TestEstimate:
 
     @pytest.mark.parametrize("traced", [False, True])
     def test_inverse_solve_factorizes_once(self, traced, tmp_path, monkeypatch):
-        calls = []
-
-        def counted(m, real=detmc.cli.lu_factorize):
-            calls.append(m)
-            return real(m)
-
-        monkeypatch.setattr(detmc.cli, "lu_factorize", counted)
-        monkeypatch.setattr(detmc.estimators, "lu_factorize", counted)
+        # the oracle's factorization is the one the estimate uses: one inverse
+        real, calls = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or real(a))
         trace = ["--trace", str(tmp_path / "t.csv")] if traced else []
         assert run_cli(
             "--estimator", "inverse_solve_det", "--ensemble", "gaussian_iid",
@@ -497,6 +491,8 @@ codes = [main(["--estimator", "sphere_invdet", *common]),
                "--trace", sys.argv[1]]),
          main(["--estimator", "sphere_invdet", "--ensemble", "diagonal", "--diag", "2",
                "--n", "3", "--samples", "64"]),
+         main(["--estimator", "inverse_solve_det", "--ensemble", "ill_conditioned",
+               "--cond", "1.1", "--n", "400", "--samples", "32768", "--streams", "2"]),
          main(["--estimator", "sphere_invdet", "--n", "3", "--matrix", "missing.txt"]),
          main(["convergence", "--estimator", "inverse_solve_det", *common,
                "--out", sys.argv[2]]),
@@ -513,9 +509,10 @@ def test_the_runtime_needs_only_numpy(tmp_path):
     # against what the interpreter and numpy had already loaded, not an allow-list: site
     # set-up may load other packages before any of detmc is imported.  The traced run
     # folds with a trace, which the first does not; the third estimates 2 I as a one-entry
-    # diagonal; the fourth call's --n, an --ensemble flag, is refused (64) before its
-    # missing file is read (2), the removed subcommand is refused (64) without writing its
-    # --out file, and so is the removed --scale flag (64)
+    # diagonal; the fourth runs the n = 400 inverse-solve path, frames of 16 in 327-row
+    # chunks, on two streams; the fifth call's --n, an --ensemble flag, is refused (64)
+    # before its missing file is read (2), the removed subcommand is refused (64) without
+    # writing its --out file, and so is the removed --scale flag (64)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -523,6 +520,6 @@ def test_the_runtime_needs_only_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT, str(trace), str(old)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 64, 64, 64]", "[]"]
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 64, 64, 64]", "[]"]
     assert len(trace.read_text().splitlines()) == 65  # a header and one line per sample
     assert not old.exists()

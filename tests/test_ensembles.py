@@ -147,6 +147,12 @@ def test_matrix_draws_do_not_consume_estimator_streams():
         # a cond the check must not let through, with the message the CLI prints
         dict(kind="ill_conditioned", n=3, cond=math.inf, message="needs a finite cond >= 1"),
         dict(kind="ill_conditioned", n=3, cond=math.nan, message="needs a finite cond >= 1"),
+        # a field of the wrong type raised Python's TypeError from len() or <
+        dict(kind="diagonal", n=3, diag=2.0, message="diag must be a sequence of real numbers"),
+        dict(kind="diagonal", n=3, diag="2", message="diag must be a sequence of real numbers"),
+        dict(kind="diagonal", n=2, diag=(1.0, "2"), message="diag must be a sequence of real"),
+        dict(kind="ill_conditioned", n=3, cond="2", message="cond must be a real number"),
+        dict(kind="ill_conditioned", n=3, cond=2j, message="cond must be a real number"),
     ],
 )
 def test_invalid_specs_rejected(kwargs):

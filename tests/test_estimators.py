@@ -21,6 +21,7 @@ from detmc.estimators import (
     MatrixFreeOperator,
     _chunk_rows,
     _frame_width,
+    _sphere_rows,
     default_trace_stride,
     det_via_inverse_solves,
     importance_log_weights,
@@ -180,7 +181,7 @@ class TestSphereEstimator:
         for n in (1, 2, 3, 4, 7, 8, 10):
             # ceil(d / w) rows in all for d directions, w = min(n, 8), at every stream
             # count: chunk c draws the c-th block of at most 4096 of them from stream c
-            total, per_chunk = -(-num_samples // min(n, 8)), _chunk_rows(n) // 4
+            total, per_chunk = -(-num_samples // min(n, 8)), _sphere_rows(n)
             rows = [min(per_chunk, total - done) for done in range(0, total, per_chunk)]
             m = well_conditioned(n, seed=2, cond=1.2 if n > 1 else 1.0)
             for estimate in (inv_det_sphere, det_via_inverse_solves):
@@ -192,13 +193,14 @@ class TestSphereEstimator:
                 assert [drawn[c] for c in range(len(rows))] == rows, n
                 assert [variates[c] for c in range(len(rows))] == [n * r for r in rows]
 
-    @pytest.mark.parametrize("n", [*range(1, 34), 400])
+    @pytest.mark.parametrize("n", [*range(1, 34), 63, 64, 400])
     def test_frame_is_the_first_shifts_distinct_up_to_sign(self, n):
         # every image of g is a signed permutation of it, so standard normal and
-        # exactly uniform in direction; the w = min(n, 8) maps are the powers
-        # P^0, ..., P^{w-1} of the negacyclic shift, no two equal up to sign
+        # exactly uniform in direction; the w maps, w = min(n, 8) below n = 64 and
+        # 16 from there, are the powers P^0, ..., P^{w-1} of the negacyclic shift,
+        # no two equal up to sign
         width = _frame_width(n)
-        assert width == min(n, 8)
+        assert width == (min(n, 8) if n < 64 else 16)
         blocks = []
         recording = MatrixFreeOperator(n, lambda x: blocks.append(x.copy()) or x.copy())
         # row j of each block is the image of e_j, so the block is its map transposed
@@ -228,7 +230,7 @@ class TestSphereEstimator:
         # at n = 3, 8 and 10
         for n in (3, 8, 10):
             m = well_conditioned(n, seed=4).data
-            rows, width = _chunk_rows(n) // 4, _frame_width(n)
+            rows, width = _sphere_rows(n), _frame_width(n)
             seen = []
 
             def apply_batch(x):
@@ -274,7 +276,7 @@ class TestSphereEstimator:
 
         monkeypatch.setattr(detmc.sampling, "gaussian_matrix", draw)
         monkeypatch.setattr(detmc.estimators, "sphere_log_weights", weigh)
-        rows = _chunk_rows(n) // 4
+        rows = _sphere_rows(n)
         # two full chunks and one of a single row, each from a stream of its own
         cfg = EstimatorConfig(_frame_width(n) * (2 * rows + 1), seed=6, num_streams=num_streams)
         m = well_conditioned(n, seed=4)
@@ -300,7 +302,7 @@ class TestSphereEstimator:
         # 32 KiB for the fold's one rows-long buffer and interpreter objects: a
         # chunk allocates no other rows-long vector
         n = 10
-        rows, width = _chunk_rows(n) // 4, _frame_width(n)
+        rows, width = _sphere_rows(n), _frame_width(n)
         op = operator_from_matrix(well_conditioned(n, seed=3))
         cfg = EstimatorConfig(3 * width * rows, seed=5)
         inv_det_sphere(op, cfg)
@@ -426,8 +428,9 @@ class TestInverseSolveEstimator:
         assert last_err <= first_err + 0.5
 
     def test_memory_is_bounded_by_the_chunk(self):
-        # n = 256 draws 1024-row (2 MiB) blocks; one 8192-row block and its
-        # image would take 33.6 MB
+        # n = 256 draws 512 Gaussian rows per chunk, a 1.1 MB frame buffer beside
+        # A^-1 (0.5 MB) and one 1 MB image; one 8192-row block and its image
+        # would take 33.6 MB
         m = generate(EnsembleSpec("gaussian_iid", n=256, seed=0))
         tracemalloc.start()
         try:
@@ -437,13 +440,13 @@ class TestInverseSolveEstimator:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_peak_memory_at_n_400_is_the_inverse_the_frame_block_and_one_image(self):
-        # a 1-stream call on a DenseMatrix holds A^-1, the stream's (n + w - 1, rows)
-        # buffer and one image block; factorizing allocates no second n x n array.
-        # The slack is the (w + 2, rows) norm block and 32 KiB for the fold's
-        # rows-long buffer and interpreter objects
+    def test_peak_memory_at_n_400_is_the_frame_block_and_one_image(self):
+        # the first call leaves A^-1 with the matrix, so a second 1-stream call
+        # allocates no n x n array: it holds the stream's (n + w - 1, rows) buffer
+        # and one image block.  The slack is the (w + 2, rows) norm block and
+        # 32 KiB for the fold's rows-long buffer and interpreter objects
         n = 400
-        rows, width = _chunk_rows(n) // 4, _frame_width(n)
+        rows, width = _sphere_rows(n), _frame_width(n)
         m = well_conditioned(n, seed=1, cond=1.1)
         cfg = EstimatorConfig(3 * width * rows, seed=5)
         det_via_inverse_solves(m, cfg)
@@ -453,8 +456,8 @@ class TestInverseSolveEstimator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        inverse, block, image = 8 * n * n, 8 * (n + width - 1) * rows, 8 * n * rows
-        assert peak <= inverse + block + image + 8 * (width + 2) * rows + 32 * 1024
+        block, image = 8 * (n + width - 1) * rows, 8 * n * rows
+        assert peak <= block + image + 8 * (width + 2) * rows + 32 * 1024
 
     def test_an_estimate_never_computes_the_log_det(self, monkeypatch):
         # the oracle log|det A| is a second LU factorization, made only when read
@@ -472,6 +475,22 @@ class TestInverseSolveEstimator:
             det_via_inverse_solves(
                 DenseMatrix(np.array([[1.0, 2.0], [2.0, 4.0]])), EstimatorConfig(10)
             )
+
+    def test_one_inverse_per_matrix(self, monkeypatch):
+        # a DenseMatrix keeps its factorization: three estimates and the oracle's
+        # lu_factorize invert A once, and a singular A raises on every call
+        real, calls = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or real(a))
+        m = well_conditioned(10, seed=2)
+        for seed in range(3):
+            det_via_inverse_solves(m, EstimatorConfig(800, seed=seed, num_streams=2))
+        assert lu_factorize(m) is lu_factorize(m)
+        assert len(calls) == 1
+        singular = DenseMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                det_via_inverse_solves(singular, EstimatorConfig(10))
+        assert len(calls) == 3
 
 
 class TestGaussianRatioEstimator:
@@ -782,7 +801,8 @@ class TestStreams:
         ],
     )
     def test_seeded_bits_pinned_up_to_n_16(self, estimator, n, want):
-        # n <= 16 keeps the largest chunks (_chunk_rows(n) = 16384): these bits
+        # every n <= 16 draws 4096 Gaussian rows per sphere chunk and 16384
+        # importance samples (_sphere_rows, _chunk_rows): these bits
         # move only with a release note (n = 16 moved when 4 | n took frames of
         # four, n = 10 when every n did, both at rounding level with the
         # column-major frame, and both with frames of eight, with the
@@ -801,12 +821,12 @@ class TestStreams:
 
     @pytest.mark.parametrize("estimator", ["sphere", "inverse", "importance"])
     def test_bits_do_not_depend_on_the_stream_count(self, estimator):
-        # at n = 100 the 60,001 directions are 12 sphere chunks and 23 importance
+        # at n = 100 the 200,001 directions are 10 sphere chunks and 77 importance
         # ones, so every worker folds several, interleaved with the others'
         m = well_conditioned(100, seed=1, cond=1.5)
         one, *others = (
             bits(estimate_named(estimator, m, EstimatorConfig(
-                60_001, seed=7, num_streams=num_streams, trace_stride=499)))
+                200_001, seed=7, num_streams=num_streams, trace_stride=499)))
             for num_streams in (1, 2, 3, 4, 7))
         assert all(other == one for other in others)
         assert EstimatorConfig(10, num_streams=3).num_streams == 3
@@ -827,8 +847,9 @@ class TestStreams:
 
     @pytest.mark.parametrize(
         "n, num_samples, num_streams, stride",
-        [(3, 60, 1, 7), (3, 2 * (_chunk_rows(3) + 1000), 2, 997), (64, 2 * 10_000 + 1, 2, 997),
-         (3, 2 * 1001 + 1, 2, 7), (10, 2 * 8 * 4096 + 13, 3, 97)],
+        [(3, 60, 1, 7), (3, 2 * (_chunk_rows(3) + 1000), 2, 997),
+         (64, 16 * (2 * _sphere_rows(64) + 1) - 5, 2, 997), (3, 2 * 1001 + 1, 2, 7),
+         (10, 2 * 8 * 4096 + 13, 3, 97)],
         ids=["one_chunk", "chunks_and_streams", "byte_sized_chunks", "odd_streams",
              "three_streams"],
     )
@@ -840,7 +861,7 @@ class TestStreams:
         width = _frame_width(n)
         w = np.concatenate([
             frame_weights(op, gaussian_directions(rng, k, n))
-            for rng, k in chunked(cfg.seed, num_samples, max(1, _chunk_rows(n) // 4), width)
+            for rng, k in chunked(cfg.seed, num_samples, _sphere_rows(n), width)
         ])
         want = running_log_means(w)
         grid = list(range(stride, num_samples + 1, stride))

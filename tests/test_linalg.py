@@ -1,7 +1,9 @@
 """Linear-algebra substrate tests against independent oracles (triple loop, cofactor, mpmath)."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -149,10 +151,12 @@ class TestLUFactorize:
     def test_peak_memory_is_the_inverse_and_one_64_row_block(self):
         # the 1-norm check reduces |A| and |A^-1| 64 rows at a time, so the inverse
         # is the only n x n array made; the slack, 16 KiB, covers the n column
-        # sums and interpreter objects
+        # sums and interpreter objects.  A matrix is factorized once, so the warm-up
+        # factorizes a copy
         n = 400
-        m = DenseMatrix(np.eye(n) + np.random.default_rng(7).standard_normal((n, n)) / n)
-        lu_factorize(m)
+        data = np.eye(n) + np.random.default_rng(7).standard_normal((n, n)) / n
+        lu_factorize(DenseMatrix(data))
+        m = DenseMatrix(data)
         tracemalloc.start()
         try:
             lu_factorize(m)
@@ -160,6 +164,19 @@ class TestLUFactorize:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n * n + 8 * 64 * n + 16 * 1024
+
+    def test_a_dropped_matrix_is_freed_with_its_inverse(self):
+        # the kept factorization refers to A's entries, not to A: no reference cycle
+        # holds a dropped matrix and its A^-1 until the cycle collector runs
+        gc.disable()
+        try:
+            m = DenseMatrix(np.diag([2.0, 4.0]))
+            lu_factorize(m)
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-160])
     def test_tiny_but_well_conditioned_accepted(self, scale):
