@@ -510,9 +510,10 @@ def test_the_runtime_needs_only_numpy(tmp_path):
     # set-up may load other packages before any of detmc is imported.  The traced run
     # folds with a trace, which the first does not; the third estimates 2 I as a one-entry
     # diagonal; the fourth runs the n = 400 inverse-solve path, frames of 16 in 327-row
-    # chunks, on two streams; the fifth call's --n, an --ensemble flag, is refused (64)
-    # before its missing file is read (2), the removed subcommand is refused (64) without
-    # writing its --out file, and so is the removed --scale flag (64)
+    # chunks, on two streams, and must pass the bench's gate, |log error| <= 5 rel SE;
+    # the fifth call's --n, an --ensemble flag, is refused (64) before its missing file
+    # is read (2), the removed subcommand is refused (64) without writing its --out
+    # file, and so is the removed --scale flag (64)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -521,5 +522,14 @@ def test_the_runtime_needs_only_numpy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 64, 64, 64]", "[]"]
+    summaries = []  # one dict of "key: value" lines per printed estimate
+    for line in proc.stdout.splitlines():
+        key, sep, value = line.partition(": ")
+        if key == "estimator":
+            summaries.append({})
+        if sep and summaries:
+            summaries[-1][key] = value
+    (n400,) = (s for s in summaries if s.get("n") == "400")
+    assert float(n400["abs_log_error_vs_oracle"]) <= 5 * float(n400["rel_std_error"])
     assert len(trace.read_text().splitlines()) == 65  # a header and one line per sample
     assert not old.exists()

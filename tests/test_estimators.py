@@ -30,7 +30,14 @@ from detmc.estimators import (
     operator_from_matrix,
     sphere_log_weights,
 )
-from detmc.linalg import DenseMatrix, SingularMatrixError, log_abs_det, lu_factorize, lu_solve_many
+from detmc.linalg import (
+    DenseMatrix,
+    SingularMatrixError,
+    log_abs_det,
+    lu_factorize,
+    lu_solve_many,
+    triangular_images,
+)
 from detmc.sampling import RngStream, gaussian_directions, gaussian_matrix, unit_sphere_many
 from detmc.stats import StreamingAccumulator
 
@@ -441,7 +448,7 @@ class TestInverseSolveEstimator:
         assert peak < 8e6
 
     def test_peak_memory_at_n_400_is_the_frame_block_and_one_image(self):
-        # the first call leaves A^-1 with the matrix, so a second 1-stream call
+        # the first call leaves A^-1 and R with the matrix, so a second 1-stream call
         # allocates no n x n array: it holds the stream's (n + w - 1, rows) buffer
         # and one image block.  The slack is the (w + 2, rows) norm block and
         # 32 KiB for the fold's rows-long buffer and interpreter objects
@@ -478,14 +485,17 @@ class TestInverseSolveEstimator:
 
     def test_one_inverse_per_matrix(self, monkeypatch):
         # a DenseMatrix keeps its factorization: three estimates and the oracle's
-        # lu_factorize invert A once, and a singular A raises on every call
+        # lu_factorize invert A once and factor A^-1 = QR once, and a singular A
+        # raises on every call
         real, calls = np.linalg.inv, []
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or real(a))
-        m = well_conditioned(10, seed=2)
+        m = well_conditioned(10, seed=2)  # the ensemble takes a QR of its own
+        real_qr, qr_calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr_calls.append(a) or real_qr(a, mode))
         for seed in range(3):
             det_via_inverse_solves(m, EstimatorConfig(800, seed=seed, num_streams=2))
         assert lu_factorize(m) is lu_factorize(m)
-        assert len(calls) == 1
+        assert len(calls) == len(qr_calls) == 1
         singular = DenseMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         for _ in range(2):
             with pytest.raises(SingularMatrixError):
@@ -618,11 +628,32 @@ class TestInvariants:
         assert tiny.rel_std_error == pytest.approx(base.rel_std_error, rel=1e-12)
 
     def test_reciprocity_inverse_solve_estimator_is_sphere_on_solves(self):
+        # the estimator weighs ||R s|| for A^-1 = QR, equal to ||A^-1 s|| to rounding
         m = generate(EnsembleSpec("gaussian_iid", n=6, seed=17))
-        cfg = EstimatorConfig(2000, seed=9)
+        cfg = EstimatorConfig(2000, seed=9, trace_stride=100)
         f = lu_factorize(m)
         solves = MatrixFreeOperator(6, lambda xs: lu_solve_many(f, xs))
-        assert det_via_inverse_solves(m, cfg) == inv_det_sphere(solves, cfg)
+        got, want = det_via_inverse_solves(m, cfg), inv_det_sphere(solves, cfg)
+        assert got.log_mean == pytest.approx(want.log_mean, rel=1e-13, abs=1e-13)
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
+        assert got.rel_std_error == pytest.approx(want.rel_std_error, rel=1e-12)
+        assert (got.n_samples, got.low_count) == (want.n_samples, want.low_count)
+        assert [i for i, _ in got.trace] == [i for i, _ in want.trace]
+        np.testing.assert_allclose([v for _, v in got.trace], [v for _, v in want.trace],
+                                   rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [6, 119, 120, 400])
+    def test_triangular_frame_weights_equal_the_solves(self, n):
+        # n = 119 and 120 are each side of the first band split (_bands)
+        m = (generate(EnsembleSpec("gaussian_iid", n=n, seed=17)) if n == 6
+             else well_conditioned(n, seed=n))
+        f = lu_factorize(m)
+        g = gaussian_matrix(RngStream(n, 0), 64, n)
+        solves = frame_weights(MatrixFreeOperator(n, lambda xs: lu_solve_many(f, xs)), g)
+        r = f.triangular
+        triangular = frame_weights(MatrixFreeOperator(n, lambda xs: triangular_images(r, xs)), g)
+        # log-weights 1e-12 apart: the weights agree to 1e-12 relative
+        np.testing.assert_allclose(triangular, solves, rtol=0, atol=1e-12)
 
     def test_reciprocity_against_dense_inverse(self):
         m = generate(EnsembleSpec("gaussian_iid", n=6, seed=17))
@@ -795,9 +826,9 @@ class TestStreams:
             ("importance", 10, ("-0x1.aa9a5867033dcp+2", "0x1.203a170ffe858p-11",
                                 "-0x1.aa9a5867033dcp+2",
                                 "91ec6b580404a90e69d9b689a281707bc7062277")),
-            ("inverse", 10, ("0x1.4e07dc425c6fap+2", "0x1.5d8eb7f011b5ap+4",
-                             "0x1.4e07dc425c6fap+2",
-                             "01dceaa16e553523bd6efdd84dc5afd414658a83")),
+            ("inverse", 10, ("0x1.4e07dc425c6f9p+2", "0x1.5d8eb7f011b55p+4",
+                             "0x1.4e07dc425c6f8p+2",
+                             "6ef7a74d134f09644ea1f632cc85a994538f1b82")),
         ],
     )
     def test_seeded_bits_pinned_up_to_n_16(self, estimator, n, want):
@@ -807,7 +838,8 @@ class TestStreams:
         # four, n = 10 when every n did, both at rounding level with the
         # column-major frame, and both with frames of eight, with the
         # column-major draw, with frames of negacyclic shifts and with a stream
-        # per chunk).  The budget divides by none of the stream counts
+        # per chunk; inverse-10 at rounding level when its weights came from the
+        # triangular factor of A^-1).  The budget divides by none of the stream counts
         m = generate(EnsembleSpec("gaussian_iid", n=n, seed=1))
         r, *others = (
             estimate_named(estimator, m, EstimatorConfig(40_001, seed=3, num_streams=num_streams,

@@ -18,10 +18,12 @@ from detmc.linalg import (
     DenseMatrix,
     MatrixFormatError,
     SingularMatrixError,
+    _bands,
     load_matrix,
     log_abs_det,
     lu_factorize,
     lu_solve_many,
+    triangular_images,
 )
 from detmc.sampling import RngStream, unit_sphere_many
 
@@ -225,14 +227,64 @@ class TestLUSolve:
         [(10, 1e8, 4.1e-9), (10, 1e12, 6.5e-5), (40, 1e8, 4.1e-9), (40, 1e12, 6.5e-5)],
     )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_solve_norms_match_mpmath(self, n, cond, bound, seed):
+    # the solves, and the images under R for A^-1 = QR, which have their norms: R
+    # carries the QR's rounding on top of the inverse's, and its worst errors read
+    # as the solves' (1.52e-5 for both at n = 10, cond 1e12, seed 1)
+    @pytest.mark.parametrize("kernel", ["solves", "triangular"])
+    def test_solve_norms_match_mpmath(self, n, cond, bound, seed, kernel):
         m = generate(EnsembleSpec("ill_conditioned", n=n, seed=seed, cond=cond))
         u = np.linalg.svd(m.data)[0]
         # random directions plus the extreme singular directions, where the
         # explicit inverse loses the most relative accuracy
         rhs = np.vstack([unit_sphere_many(RngStream(seed, 0), 32, n), u[:, 0], u[:, -1]])
-        got = np.log(np.linalg.norm(lu_solve_many(lu_factorize(m), rhs), axis=1))
+        f = lu_factorize(m)
+        if kernel == "solves":
+            images = lu_solve_many(f, rhs)
+        else:
+            images = triangular_images(f.triangular, rhs)
+        got = np.log(np.linalg.norm(images, axis=1))
         assert np.max(np.abs(got - mp_log_solve_norms(m.data, rhs))) <= bound
+
+
+class TestTriangularImages:
+    def test_the_factor_is_read_only_upper_triangular_and_kept(self):
+        rng = np.random.default_rng(3)
+        f = lu_factorize(DenseMatrix(rng.standard_normal((7, 7))))
+        r = f.triangular
+        assert r is f.triangular
+        np.testing.assert_array_equal(r, np.triu(r))
+        # R^T R = A^-T A^-1: the same norms in every direction
+        np.testing.assert_allclose(r.T @ r, f.inverse.T @ f.inverse, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError):
+            r[0, 0] = 1.0
+
+    def test_factorizing_and_the_oracle_do_not_make_the_factor(self):
+        f = lu_factorize(DenseMatrix(np.diag([2.0, 4.0])))
+        log_abs_det(f)
+        assert "triangular" not in vars(f)
+
+    def test_band_rule(self):
+        # bands of about 80 rows, one below n = 120 and at most six
+        assert [_bands(n) for n in (1, 10, 119, 120, 199, 200, 400, 439, 440, 4000)] == [
+            1, 1, 1, 2, 2, 3, 5, 5, 6, 6]
+
+    @pytest.mark.parametrize("n", [1, 6, 119, 120, 200, 400, 520])
+    def test_bands_match_one_product(self, n):
+        # on each side of the band splits: the bands together are the whole product,
+        # r @ x, summed in another order, so within the dot products' rounding bound
+        rng = np.random.default_rng(n)
+        r = np.triu(rng.standard_normal((n, n)))
+        xs = rng.standard_normal((2 * n + 1, 33)).T[:, n + 1:]  # column-major, as the kernel passes
+        got = triangular_images(r, xs)
+        assert got.shape == xs.shape
+        assert np.all(np.abs(got - xs @ r.T) <= n * EPS * (np.abs(xs) @ np.abs(r).T))
+
+    def test_dimension_mismatch(self):
+        r = lu_factorize(DenseMatrix(np.eye(3))).triangular
+        with pytest.raises(ValueError):
+            triangular_images(r, np.ones((1, 2)))
+        with pytest.raises(ValueError):
+            triangular_images(r, np.ones(3))
 
 
 class TestLogAbsDet:
