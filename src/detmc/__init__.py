@@ -22,7 +22,6 @@ from .estimators import (
 )
 from .linalg import (
     DenseMatrix,
-    LUFactorization,
     MatrixFormatError,
     SingularMatrixError,
     load_matrix,
@@ -40,7 +39,6 @@ __all__ = [
     "EnsembleSpec",
     "EstimateResult",
     "EstimatorConfig",
-    "LUFactorization",
     "MatrixFormatError",
     "MatrixFreeOperator",
     "RngStream",

@@ -71,7 +71,7 @@ import numpy as np
 
 from . import sampling
 # bench/tracing.py patches lu_factorize and lu_solve_many by name in this module, so
-# both stay bound, though nothing here calls lu_solve_many: dropping either breaks
+# both stay bound, though nothing here calls either: dropping one breaks
 # ``bench/run.py --trace 1``
 from .linalg import (DenseMatrix, SingularMatrixError, lu_factorize, lu_solve_many,  # noqa: F401
                      triangular_images)
@@ -432,14 +432,14 @@ def inv_det_importance(
 def det_via_inverse_solves(m: DenseMatrix, config: EstimatorConfig) -> EstimateResult:
     """Estimate |det A| itself by averaging ||A^{-1} s||^{-n}.
 
-    Uses m's one factorization (:func:`~detmc.linalg.lu_factorize`, made on the
-    first call for m) and the triangular R of A^{-1} = QR it keeps, made on the
-    first call that reads it: ||A^{-1} s|| = ||R s||, so each sample costs one
+    Uses the triangular R of A^{-1} = QR that m keeps
+    (:attr:`~detmc.linalg.DenseMatrix.triangular`, made on the first call for
+    m): ||A^{-1} s|| = ||R s||, so each sample costs one
     banded triangular product (:func:`~detmc.linalg.triangular_images`), about
     3/5 of a product with the inverse at n = 400.  The weights equal those of
     the solves to rounding, not bit for bit.
     Raises :class:`~detmc.linalg.SingularMatrixError` for rank-deficient input.
     """
-    r = lu_factorize(m).triangular  # made on this thread, before any worker starts
+    r = m.triangular  # made on this thread, before any worker starts
     return inv_det_sphere(MatrixFreeOperator(m.n, lambda xs: triangular_images(r, xs)), config)
 

@@ -1,20 +1,18 @@
 """Dense linear algebra substrate: matrices, the exact oracle, solves.
 
-Everything here rests on LAPACK through numpy.  ``lu_factorize`` factors
-A with ``np.linalg.inv``, whose ``A^{-1}`` turns a block of solves into
-one matrix product (:func:`lu_solve_many`).  The determinant-from-inverse
-estimator needs only the norms ||A^{-1} s||, and a norm does not change
-under an orthogonal map: with A^{-1} = QR, ||A^{-1} s|| = ||R s||.  So the
-factorization also keeps the triangular R, made on first read, and
-:func:`triangular_images` applies it in row bands that skip its zero
-blocks, for 3/5 of the dense product's flops at n = 400.
-A :class:`DenseMatrix` is immutable, so it keeps its factorization for its
-lifetime once made: every later ``lu_factorize`` of the same matrix, and
-every estimate on it, reuses the one ``A^{-1}`` and the one R.
-``np.linalg.slogdet`` factors A again for ``log|det A|``, the exact oracle
-every Monte Carlo estimate here is validated against, only when it is
-first read.  It is kept in log form so the oracle stays finite for
-dimensions where the determinant itself over- or underflows float64.
+Everything here rests on LAPACK through numpy.  A :class:`DenseMatrix` is
+immutable, so it keeps what is derived from A for its lifetime, each made
+on first read: ``inverse``, A^{-1} from ``np.linalg.inv``, which turns a
+block of solves into one matrix product (:func:`lu_solve_many`);
+``log_abs_det``, the exact oracle every Monte Carlo estimate here is
+validated against, from a second LU in ``np.linalg.slogdet``, kept in log
+form so it stays finite where the determinant itself over- or underflows
+float64; and ``triangular``, the R of A^{-1} = QR.  The
+determinant-from-inverse estimator needs only the norms ||A^{-1} s||, and a
+norm does not change under an orthogonal map: ||A^{-1} s|| = ||R s||.
+:func:`triangular_images` applies R in row bands that skip its zero
+blocks, for 3/5 of the dense product's flops at n = 400.  Every estimate
+on a matrix reuses its one A^{-1} and its one R.
 
 Only dense square matrices are supported here.  Matrix-free callers supply
 their own apply function to the estimators module instead.
@@ -29,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "DenseMatrix",
-    "LUFactorization",
     "SingularMatrixError",
     "MatrixFormatError",
     "lu_factorize",
@@ -55,10 +52,11 @@ def _norm1(a: np.ndarray) -> float:
     return float(sum(np.abs(a[i: i + 64]).sum(axis=0) for i in range(0, len(a), 64)).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseMatrix:
     """Immutable n-by-n real matrix with finite entries, row-major storage.
-    Keeps its factorization once :func:`lu_factorize` has made it."""
+    Keeps ``A^{-1}``, ``log|det A|`` and the triangular factor of ``A^{-1}`` once
+    each is first read; compares and hashes by identity."""
 
     data: np.ndarray
 
@@ -78,9 +76,15 @@ class DenseMatrix:
         return self.data.shape[0]
 
     @cached_property
-    def _factorization(self) -> LUFactorization:
-        """The one factorization of A, made on first use; a singular A raises on
-        every use and caches nothing."""
+    def inverse(self) -> np.ndarray:
+        """Read-only ``A^{-1}``, made on first read; a singular A raises on every
+        read and caches nothing.
+
+        Raises :class:`SingularMatrixError` when A has a zero pivot, or when
+        ``||A||_1 ||A^{-1}||_1 < 1/eps`` fails: LAPACK's own rule (xGESVX,
+        RCOND < eps) for a matrix that is singular to working precision.  The
+        estimators in this package assume full-rank inputs.
+        """
         try:
             inverse = np.linalg.inv(self.data)
         except np.linalg.LinAlgError:
@@ -91,51 +95,32 @@ class DenseMatrix:
                 f"matrix is singular to working precision: 1-norm condition number {cond:.3g}"
             )
         inverse.setflags(write=False)
-        # A's entries, not A: the memo then forms no reference cycle, and a matrix is
-        # freed with its A^-1 as soon as the last reference to it goes
-        return LUFactorization(data=self.data, inverse=inverse)
-
-
-@dataclass(frozen=True)
-class LUFactorization:
-    """What the estimators need from the LU of A: ``A^{-1}``; ``log|det A|`` and the
-    triangular factor of ``A^{-1}`` on first read.  ``data`` is A's read-only entries."""
-
-    data: np.ndarray
-    inverse: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.inverse.shape[0]
+        return inverse
 
     @cached_property
     def log_abs_det(self) -> float:
+        """log |det A|, authoritative where |det A| itself is not representable."""
         return float(np.linalg.slogdet(self.data)[1])
 
     @cached_property
     def triangular(self) -> np.ndarray:
         """Read-only upper triangular R of ``A^{-1}`` = QR, zero below its diagonal:
         ||R s|| = ||A^{-1} s|| for every s, to rounding.  A Householder QR, 6-8 ms
-        at n = 400, made on the first inverse-solve estimate, not by
-        :func:`lu_factorize`, so the oracle does not pay for it."""
+        at n = 400, made on the first inverse-solve estimate, not with the
+        inverse, so the rank check and the oracle do not pay for it."""
         r = np.linalg.qr(self.inverse, mode="r")  # numpy zeroes the lower triangle
         r.setflags(write=False)
         return r
 
 
-def lu_factorize(m: DenseMatrix) -> LUFactorization:
-    """A's factorization: ``inv`` on the first call for m, the same object on every
-    later one.
-
-    Raises :class:`SingularMatrixError`, on every call, when A has a zero pivot,
-    or when ``||A||_1 ||A^{-1}||_1 < 1/eps`` fails: LAPACK's own rule (xGESVX,
-    RCOND < eps) for a matrix that is singular to working precision.  The
-    estimators in this package assume full-rank inputs.
-    """
-    return m._factorization
+def lu_factorize(m: DenseMatrix) -> DenseMatrix:
+    """m, once ``m.inverse`` has been read: raises :class:`SingularMatrixError`,
+    on every call, for a singular m."""
+    m.inverse  # the rank check; A^{-1} is kept for the estimates that follow
+    return m
 
 
-def lu_solve_many(f: LUFactorization, rhs: np.ndarray) -> np.ndarray:
+def lu_solve_many(m: DenseMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve A x_i = b_i for a (k, n) block of right-hand-side rows at once.
 
     One factorization amortized over many solves makes each O(n^2); with the
@@ -144,9 +129,9 @@ def lu_solve_many(f: LUFactorization, rhs: np.ndarray) -> np.ndarray:
     :func:`triangular_images` instead.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.ndim != 2 or rhs.shape[1] != f.n:
-        raise ValueError(f"expected a (k, {f.n}) block of right-hand sides, got {rhs.shape}")
-    return rhs @ f.inverse.T
+    if rhs.ndim != 2 or rhs.shape[1] != m.n:
+        raise ValueError(f"expected a (k, {m.n}) block of right-hand sides, got {rhs.shape}")
+    return rhs @ m.inverse.T
 
 
 def _bands(n: int) -> int:
@@ -162,7 +147,7 @@ def _bands(n: int) -> int:
 
 def triangular_images(r: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Images r x_i of a (k, n) block of rows x_i under an upper triangular r.
-    With r = ``LUFactorization.triangular`` their norms are those of the solves
+    With r = ``DenseMatrix.triangular`` their norms are those of the solves
     of :func:`lu_solve_many` to rounding, at (b + 1) / (2 b) of the solves'
     flops for b = ``_bands(n)``.
 
@@ -182,9 +167,9 @@ def triangular_images(r: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return images.T
 
 
-def log_abs_det(f: LUFactorization) -> float:
-    """log |det A|, authoritative where |det A| itself is not representable."""
-    return f.log_abs_det
+def log_abs_det(m: DenseMatrix) -> float:
+    """``m.log_abs_det``."""
+    return m.log_abs_det
 
 
 def load_matrix(path) -> DenseMatrix:

@@ -497,7 +497,9 @@ codes = [main(["--estimator", "sphere_invdet", *common]),
          main(["convergence", "--estimator", "inverse_solve_det", *common,
                "--out", sys.argv[2]]),
          main(["--estimator", "sphere_invdet", "--ensemble", "diagonal", "--diag", "2",
-               "--n", "3", "--scale", "2"])]
+               "--n", "3", "--scale", "2"]),
+         *(main(["--estimator", estimator, "--matrix", sys.argv[3], "--samples", "64"])
+           for estimator in ("sphere_invdet", "inverse_solve_det"))]
 # numpy.random's Cython extensions register two in-memory modules when they load
 cython = {name for name in sys.modules if name == "cython_runtime" or name.startswith("_cython_")}
 print(codes)
@@ -513,15 +515,18 @@ def test_the_runtime_needs_only_numpy(tmp_path):
     # chunks, on two streams, and must pass the bench's gate, |log error| <= 5 rel SE;
     # the fifth call's --n, an --ensemble flag, is refused (64) before its missing file
     # is read (2), the removed subcommand is refused (64) without writing its --out
-    # file, and so is the removed --scale flag (64)
+    # file, and so is the removed --scale flag (64); a singular --matrix file is
+    # refused (3) under both estimators
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    trace, old = tmp_path / "trace.csv", tmp_path / "old.csv"
-    proc = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT, str(trace), str(old)], env=env,
+    trace, old, singular = tmp_path / "trace.csv", tmp_path / "old.csv", tmp_path / "singular.txt"
+    singular.write_text("2\n1 2\n2 4\n", encoding="ascii")
+    args = [str(trace), str(old), str(singular)]
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 64, 64, 64]", "[]"]
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 64, 64, 64, 3, 3]", "[]"]
     summaries = []  # one dict of "key: value" lines per printed estimate
     for line in proc.stdout.splitlines():
         key, sep, value = line.partition(": ")

@@ -484,9 +484,9 @@ class TestInverseSolveEstimator:
             )
 
     def test_one_inverse_per_matrix(self, monkeypatch):
-        # a DenseMatrix keeps its factorization: three estimates and the oracle's
+        # a DenseMatrix keeps its inverse and R: three estimates and the oracle's
         # lu_factorize invert A once and factor A^-1 = QR once, and a singular A
-        # raises on every call
+        # raises on every call and keeps nothing
         real, calls = np.linalg.inv, []
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or real(a))
         m = well_conditioned(10, seed=2)  # the ensemble takes a QR of its own
@@ -494,13 +494,14 @@ class TestInverseSolveEstimator:
         monkeypatch.setattr(np.linalg, "qr", lambda a, mode: qr_calls.append(a) or real_qr(a, mode))
         for seed in range(3):
             det_via_inverse_solves(m, EstimatorConfig(800, seed=seed, num_streams=2))
-        assert lu_factorize(m) is lu_factorize(m)
+        assert lu_factorize(m) is m
         assert len(calls) == len(qr_calls) == 1
         singular = DenseMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         for _ in range(2):
             with pytest.raises(SingularMatrixError):
                 det_via_inverse_solves(singular, EstimatorConfig(10))
         assert len(calls) == 3
+        assert "inverse" not in vars(singular)
 
 
 class TestGaussianRatioEstimator:

@@ -113,6 +113,13 @@ class TestDenseMatrix:
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
 
+    def test_compares_and_hashes_by_identity(self):
+        # a matrix keeps its own inverse and R, so equal entries make two matrices,
+        # not one
+        a, b = DenseMatrix(np.eye(2)), DenseMatrix(np.eye(2))
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+
 
 class TestLUFactorize:
     def test_identity(self):
@@ -168,8 +175,8 @@ class TestLUFactorize:
         assert peak <= 8 * n * n + 8 * 64 * n + 16 * 1024
 
     def test_a_dropped_matrix_is_freed_with_its_inverse(self):
-        # the kept factorization refers to A's entries, not to A: no reference cycle
-        # holds a dropped matrix and its A^-1 until the cycle collector runs
+        # the kept A^-1 refers to nothing: no reference cycle holds a dropped
+        # matrix and its A^-1 until the cycle collector runs
         gc.disable()
         try:
             m = DenseMatrix(np.diag([2.0, 4.0]))
